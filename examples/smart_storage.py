@@ -69,8 +69,8 @@ class ScannerOffcode(Offcode):
                 disk = site.machine.device("disk0")
                 yield from disk.read_block(index, BLOCK)
                 yield from disk.bus.transfer("disk0", HOST_MEMORY, BLOCK)
-                site.machine.l2.access_range(0x4000_0000 + index * BLOCK
-                                             % (1 << 22), BLOCK)
+                site.machine.l2.touch_range(0x4000_0000 + index * BLOCK
+                                            % (1 << 22), BLOCK)
             yield from site.execute(round(BLOCK * SCAN_NS_PER_BYTE),
                                     context="virus-scan")
             if index % 4099 == 0:      # a synthetic "signature hit"

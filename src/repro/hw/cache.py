@@ -31,18 +31,23 @@ mechanisms keep this off the event loop's critical path:
   that only need counter *snapshots* take a :meth:`stats_pin` — a
   position in the log resolved lazily after the run.
 
-* **Batched exact-LRU updates.**  With numpy available the whole cache
-  lives in two arrays and every walk *segment* (the run of consecutive
-  lines sharing one tag, which by construction touches consecutive,
-  distinct sets) updates as a constant number of batched array
-  operations, with fast paths for the dominant all-miss and
-  repeat-walk (all-hit-at-MRU) cases.  Every set is kept permanently
-  full by pre-filling it with negative *sentinel* tags (real tags are
-  non-negative, so sentinels can never hit, and evicting one is
-  exactly the real model's "insert into a not-yet-full set"), which
-  removes the fill/evict branch without changing any counter.  Without
-  numpy the model falls back to per-set ordered dicts and a per-line
-  loop; the op log works identically.
+* **Set-parallel exact-LRU replay.**  With numpy a drain expands the
+  log into per-line ``(set, tag, write)`` records, slice by slice, and
+  groups each slice stably by set.  Sets never interact and each set
+  keeps its own order, so step ``k`` of the replay applies the ``k``-th
+  access of *every* set at once: a tag compare finds hits, per-way ages
+  pick the LRU victim, and one batch of array updates moves the state.
+  Back-to-back touches of one line in one set fold into one access
+  first (the repeats are MRU hits that only OR in the dirty bit).
+  Misses, evictions and writebacks are counted per log entry, so every
+  :class:`StatsPin` resolves from prefix sums.  Every set is kept
+  permanently full by pre-filling it with negative *sentinel* tags
+  (real tags are non-negative, so sentinels can never hit, and evicting
+  one is exactly the real model's "insert into a not-yet-full set"),
+  which removes the fill/evict branch without changing any counter.
+  Without numpy the model falls back to per-set ordered dicts and a
+  per-line loop; the op log works identically, and the tests use that
+  model as the reference for the replay.
 """
 
 from __future__ import annotations
@@ -63,6 +68,16 @@ __all__ = ["CacheConfig", "CacheStats", "Cache", "StatsPin"]
 # busy simulated second logs freely, small enough to bound memory (each
 # entry is one small tuple).
 _OPLOG_CAP = 65536
+
+# Lines per replay slice: enough that each replay step updates a few
+# hundred sets at once, few enough that the slice's per-line arrays
+# stay small and in the host's caches.
+_SLICE_LINES = 8192
+
+# Added to the key of a hit way so it outranks every LRU key (while the
+# replay clock times the key span stays below it); a multiple of every
+# key span, so the key's low bits survive.
+_HIT_BONUS = 1 << 62
 
 
 def _is_pow2(n: int) -> bool:
@@ -165,14 +180,16 @@ class StatsPin:
 class Cache:
     """A set-associative write-back LRU cache.
 
-    Canonical state is a pair of numpy arrays — ``_ways_arr`` ``(sets,
-    ways)`` int64 tags in LRU order (column 0 = LRU, last column = MRU)
-    and ``_dirty_arr`` bools of the same shape.  All accesses, single or
-    ranged, are batched per-segment array updates; the per-access cost
-    is dominated by numpy call dispatch, so the update is shaped to use
-    a constant, small number of array operations regardless of segment
-    length.  Without numpy the model keeps one ordered dict per set
-    (tag -> dirty, insertion order = LRU order) and loops per line.
+    With numpy the state is three ``(ways, sets)`` arrays: ``_tags``
+    (int64, sentinels negative), ``_dirty`` (bool) and ``_keys``.  A
+    way's key is its flat index ``way * sets + set`` minus its last-use
+    step times ``_span``, a power of two above every flat index, so the
+    largest key in a set's column is its LRU way and the key's low bits
+    name that way's flat index.  Ranged touches replay set-parallel
+    (:meth:`_replay`); a single :meth:`access` updates one column.
+    Without numpy the model keeps one ordered dict per set (tag ->
+    dirty, insertion order = LRU order) and loops per line; that model
+    is also the reference the numpy replay is tested against.
 
     Fire-and-forget callers (every in-simulation component) should use
     :meth:`touch_range`, which defers classification to an op log; any
@@ -196,25 +213,20 @@ class Cache:
         self._ways = self.config.associativity
         num_sets = self.config.num_sets
         ways = self._ways
-        # Sentinel prefill: unique negative tags per row keep every set
+        # Sentinel prefill: unique negative tags per set keep every set
         # exactly `ways` entries deep (see module docstring).
         self._sentinels = list(range(-ways, 0))
         if _np is not None:
-            self._ways_arr = _np.tile(
-                _np.arange(-ways, 0, dtype=_np.int64), (num_sets, 1))
-            self._dirty_arr = _np.zeros((num_sets, ways), dtype=bool)
-            self._rows = _np.arange(num_sets)[:, None]
-            # Gather LUT: row p is the index vector that deletes
-            # position p and shifts everything above it left (the last
-            # column is a don't-care, overwritten with the new MRU).
-            self._glut = _np.minimum(
-                _np.arange(ways) + (_np.arange(ways) >=
-                                    _np.arange(ways)[:, None]),
-                ways - 1)
-            self._dictsets: List[Optional[dict]] = []
+            self._tags = _np.repeat(
+                _np.arange(-ways, 0, dtype=_np.int64)[:, None], num_sets, 1)
+            self._dirty = _np.zeros((ways, num_sets), dtype=bool)
+            self._span = 1 << (ways * num_sets - 1).bit_length()
+            self._keys = _np.arange(ways * num_sets,
+                                    dtype=_np.int64).reshape(ways, num_sets)
+            self._clock = 0     # replay steps so far; the age of a touch
+            self._dictsets: List[dict] = []
         else:
-            self._ways_arr = None
-            self._dirty_arr = None
+            self._tags = None
             self._dictsets = [
                 dict.fromkeys(self._sentinels, False) for _ in range(num_sets)]
 
@@ -266,26 +278,148 @@ class Cache:
 
     def _drain(self) -> None:
         """Replay the deferred-access log in order, resolving pins."""
+        if self._tags is not None:
+            self._replay_log()
+            return
         log = self._oplog
         pins = self._pins
-        apply_lines = self._apply_lines
-        if pins:
-            pos = 0
-            p = 0
-            for first, last, write in log:
-                while p < len(pins) and pins[p]._index <= pos:
-                    pins[p]._value = self._stats.snapshot()
-                    p += 1
-                apply_lines(first, last, write)
-                pos += 1
-            while p < len(pins):
+        p = 0
+        for pos, (first, last, write) in enumerate(log):
+            while p < len(pins) and pins[p]._index <= pos:
                 pins[p]._value = self._stats.snapshot()
                 p += 1
-            del pins[:]
-        else:
-            for first, last, write in log:
-                apply_lines(first, last, write)
+            self._apply_lines(first, last, write)
+        for pin in pins[p:]:
+            pin._value = self._stats.snapshot()
+        del pins[:]
         del log[:]
+
+    def _replay_log(self) -> None:
+        """numpy drain: expand the log to lines and replay it in slices.
+
+        Counters are kept per log entry, so each pin resolves to the
+        base counters plus a prefix sum over the entries before it.
+        """
+        np = _np
+        log = np.array(self._oplog, dtype=np.int64).reshape(-1, 3)
+        first = log[:, 0]
+        lines = log[:, 1] - first + 1
+        end = np.cumsum(lines)
+        # Line g of the expanded log (counting from 0 across entries)
+        # belongs to the entry e with end[e-1] <= g < end[e] and is line
+        # number g + shift[e].
+        shift = first - (end - lines)
+        writes = log[:, 2].astype(bool)
+        # Column e + 1: hits, misses, evictions, writebacks of entry e;
+        # after the cumsum, column i holds the sums over entries < i.
+        counts = np.zeros((4, len(log) + 1), dtype=np.int64)
+        total = int(end[-1])
+        for g0 in range(0, total, _SLICE_LINES):
+            g1 = min(total, g0 + _SLICE_LINES)
+            e0 = int(np.searchsorted(end, g0, "right"))
+            e1 = int(np.searchsorted(end, g1, "left")) + 1
+            # Entry of each line in the slice, counted from e0.
+            entry = np.repeat(
+                np.arange(e1 - e0),
+                np.minimum(end[e0:e1], g1)
+                - np.maximum(end[e0:e1] - lines[e0:e1], g0))
+            self._replay(np.arange(g0, g1) + shift[e0:e1][entry],
+                         writes[e0:e1][entry], entry,
+                         counts[1:, e0 + 1:e1 + 1])
+        counts[0, 1:] = lines - counts[1, 1:]
+        np.cumsum(counts, axis=1, out=counts)
+        stats = self._stats
+        base = (stats.hits, stats.misses, stats.evictions, stats.writebacks)
+        for pin in self._pins:
+            pin._value = CacheStats(*(b + int(c) for b, c in
+                                      zip(base, counts[:, pin._index])))
+        stats.hits, stats.misses, stats.evictions, stats.writebacks = (
+            b + int(c) for b, c in zip(base, counts[:, -1]))
+        del self._pins[:]
+        del self._oplog[:]
+
+    def _replay(self, lines, writes, entry, counts) -> None:
+        """Exact LRU replay of one slice of line touches, all sets at once.
+
+        ``lines``/``writes``/``entry`` give each touch in log order and
+        the log entry it came from; ``counts`` (misses, evictions and
+        writebacks, one column per entry) is accumulated in place.  Sets never
+        interact, so the touches are grouped stably by set, and step
+        ``k`` applies the ``k``-th touch of every set in one batch.
+        Back-to-back touches of one line in one set are folded first:
+        the repeats are hits on the MRU way, which change nothing but
+        the dirty bit.
+        """
+        np = _np
+        num_sets = self.config.num_sets
+        sets = lines & self._set_mask
+        # uint16 keys take numpy's radix sort.
+        key = sets.astype(np.uint16) if num_sets <= 1 << 16 else sets
+        order = np.argsort(key, kind="stable")
+        by_set = lines[order]
+        lead = np.empty(by_set.size, dtype=bool)
+        lead[0] = True
+        np.not_equal(by_set[1:], by_set[:-1], out=lead[1:])
+        leaders = np.flatnonzero(lead)
+        n = leaders.size
+        folded_write = np.zeros(n, dtype=bool)
+        folded_write[(np.cumsum(lead) - 1)[writes[order]]] = True
+        # Each set's run of accesses, longest first: step k touches the
+        # first active[k] runs, so each step is a contiguous slice.
+        lead_sets = sets[order[leaders]]
+        run_start = np.flatnonzero(np.concatenate(
+            ([True], lead_sets[1:] != lead_sets[:-1])))
+        run_len = np.diff(np.append(run_start, n))
+        longest = np.argsort(-run_len, kind="stable")
+        steps = int(run_len[longest[0]])
+        active = run_start.size - np.cumsum(
+            np.bincount(run_len, minlength=steps + 1))[:steps]
+        bounds = np.zeros(steps + 1, dtype=np.int64)
+        np.cumsum(active, out=bounds[1:])
+        step = np.repeat(np.arange(steps), active)
+        pick = run_start[longest][np.arange(n) - bounds[step]] + step
+        src = order[leaders[pick]]
+        set_of = sets[src]
+        tag_of = lines[src] >> self._index_bits
+        write_of = folded_write[pick]
+        old_tag = np.empty(n, dtype=np.int64)
+        old_dirty = np.empty(n, dtype=bool)
+
+        tags, keys = self._tags, self._keys
+        flat_tags = tags.reshape(-1)
+        flat_dirty = self._dirty.reshape(-1)
+        flat_keys = keys.reshape(-1)
+        span = self._span
+        low = span - 1
+        clock = self._clock * span
+        for k in range(steps):
+            lo, hi = bounds[k], bounds[k + 1]
+            s = set_of[lo:hi]
+            t = tag_of[lo:hi]
+            # The hit way, else the LRU way: the largest key once hits
+            # get a bonus above every possible key.
+            f = keys.take(s, axis=1)
+            np.add(f, _HIT_BONUS, out=f, where=tags.take(s, axis=1) == t)
+            f = f.max(0)
+            hit = f > low
+            f &= low
+            old_tag[lo:hi] = flat_tags[f]
+            d = flat_dirty[f]
+            old_dirty[lo:hi] = d
+            flat_tags[f] = t
+            d &= hit
+            d |= write_of[lo:hi]
+            flat_dirty[f] = d
+            clock += span
+            flat_keys[f] = f - clock
+        self._clock = clock // span
+        miss = old_tag != tag_of
+        evict = miss & (old_tag >= 0)
+        who = entry[src]
+        width = counts.shape[1]
+        counts[0] += np.bincount(who[miss], minlength=width)
+        counts[1] += np.bincount(who[evict], minlength=width)
+        counts[2] += np.bincount(who[evict & old_dirty], minlength=width)
 
     # -- core access -------------------------------------------------------
 
@@ -299,13 +433,25 @@ class Cache:
         tag = line >> self._index_bits
         index = line & self._set_mask
         stats = self._stats
-        if self._ways_arr is not None:
-            h, _m, e, w = self._segment(index, index + 1, tag, write)
-            stats.hits += h
-            stats.misses += 1 - h
-            stats.evictions += e
-            stats.writebacks += w
-            return bool(h)
+        if self._tags is not None:
+            column = self._tags[:, index]
+            found = _np.flatnonzero(column == tag)
+            self._clock += 1
+            if found.size:
+                way = int(found[0])
+                self._dirty[way, index] |= write
+                stats.hits += 1
+            else:
+                way = int(self._keys[:, index].argmax())
+                if column[way] >= 0:
+                    stats.evictions += 1
+                    stats.writebacks += int(self._dirty[way, index])
+                column[way] = tag
+                self._dirty[way, index] = write
+                stats.misses += 1
+            self._keys[way, index] = (way * self.config.num_sets + index
+                                      - self._clock * self._span)
+            return bool(found.size)
         d = self._dictsets[index]
         if tag in d:
             # LRU bump: reinsert at the back (dicts keep insertion order).
@@ -326,145 +472,60 @@ class Cache:
     def access_range(self, base: int, size: int, write: bool = False) -> Tuple[int, int]:
         """Touch every line in ``[base, base+size)``.
 
-        Returns ``(hits, misses)`` for the range.  This is how buffer
-        copies and packet payload touches are charged to the cache — the
-        single hottest non-event loop in the simulation (a daemon wake
-        walks 1250 lines).  The range is split into segments of lines
-        sharing one tag; consecutive lines in a segment land in
-        consecutive, distinct sets, so each segment is one batched
-        array update.
+        Returns ``(hits, misses)`` for the range.  The range is logged
+        like :meth:`touch_range` and the log replayed at once, so eager
+        and deferred ranges share one replay.
         """
-        if size < 0:
-            raise HardwareError(f"negative range size: {size}")
-        if size == 0:
-            return (0, 0)
-        if base < 0:
-            raise HardwareError(f"negative address: {base}")
         if self._oplog:
             self._drain()
-        first = base >> self._line_shift
-        last = (base + size - 1) >> self._line_shift
-        return self._apply_lines(first, last, write)
+        stats = self._stats
+        hits, misses = stats.hits, stats.misses
+        self.touch_range(base, size, write)
+        if self._oplog:
+            self._drain()
+        return (stats.hits - hits, stats.misses - misses)
 
-    def _apply_lines(self, first: int, last: int,
-                     write: bool) -> Tuple[int, int]:
-        """Apply one logged/validated line-range touch; return (hits, misses)."""
+    def _apply_lines(self, first: int, last: int, write: bool) -> None:
+        """Dict model: apply one logged line-range touch, line by line."""
         index_bits = self._index_bits
         hits = misses = evictions = writebacks = 0
-        if self._ways_arr is not None:
-            segment = self._segment
-            for t in range(first >> index_bits, (last >> index_bits) + 1):
-                block = t << index_bits
-                lo = max(first, block) - block
-                hi = min(last, block + (1 << index_bits) - 1) - block
-                h, m, e, w = segment(lo, hi + 1, t, write)
-                hits += h
-                misses += m
-                evictions += e
-                writebacks += w
-        else:
-            dictsets = self._dictsets
-            for t in range(first >> index_bits, (last >> index_bits) + 1):
-                block = t << index_bits
-                lo = max(first, block) - block
-                hi = min(last, block + (1 << index_bits) - 1) - block
-                for s in range(lo, hi + 1):
-                    d = dictsets[s]
-                    if t in d:
-                        d[t] = d.pop(t) or write
-                        hits += 1
-                    else:
-                        lru = next(iter(d))
-                        if d.pop(lru):
-                            writebacks += 1
-                        if lru >= 0:
-                            evictions += 1
-                        d[t] = write
-                        misses += 1
+        dictsets = self._dictsets
+        for t in range(first >> index_bits, (last >> index_bits) + 1):
+            block = t << index_bits
+            lo = max(first, block) - block
+            hi = min(last, block + (1 << index_bits) - 1) - block
+            for s in range(lo, hi + 1):
+                d = dictsets[s]
+                if t in d:
+                    d[t] = d.pop(t) or write
+                    hits += 1
+                else:
+                    lru = next(iter(d))
+                    if d.pop(lru):
+                        writebacks += 1
+                    if lru >= 0:
+                        evictions += 1
+                    d[t] = write
+                    misses += 1
         stats = self._stats
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
         stats.writebacks += writebacks
-        return (hits, misses)
-
-    def _segment(self, lo: int, hi1: int, tag: int,
-                 write: bool) -> Tuple[int, int, int, int]:
-        """Exact batched LRU update: one access of ``tag`` to each of
-        the consecutive sets ``lo..hi1-1``.  Returns the four counter
-        deltas.
-
-        Dispatch count is what matters here — each numpy call costs
-        ~1-10 us on these small arrays, dwarfing the arithmetic — so the
-        all-miss case (the overwhelming majority: streaming walks evict
-        rather than revisit) is special-cased as a pure column shift,
-        and the general path derives hits from a positional lookup
-        instead of an axis reduction and rotates rows with a single
-        LUT-driven fancy-index gather.
-        """
-        np = _np
-        n = hi1 - lo
-        V = self._ways_arr[lo:hi1]
-        Dv = self._dirty_arr[lo:hi1]
-        if (V[:, -1] == tag).all():
-            # All-hit-at-MRU fast path: a walk leaves its tag MRU in
-            # every set it touches, so an undisturbed re-walk (the
-            # per-tick kernel-text touch) changes no LRU order at all.
-            if write:
-                Dv[:, -1] = True
-            return (n, 0, 0, 0)
-        eq = V == tag
-        victims = V[:, 0]
-        vdirty = Dv[:, 0]
-        if not eq.any():
-            # All-miss fast path: every set evicts its LRU (column 0)
-            # and shifts left; the new tag becomes MRU everywhere.
-            ev_real = victims >= 0
-            n_evict = int(np.count_nonzero(ev_real))
-            ev_real &= vdirty
-            n_wb = int(np.count_nonzero(ev_real))
-            V[:, :-1] = V[:, 1:]
-            V[:, -1] = tag
-            Dv[:, :-1] = Dv[:, 1:]
-            Dv[:, -1] = write
-            return (0, n, n_evict, n_wb)
-        # argmax of an all-False row is 0 — which is exactly the miss
-        # behaviour we want (evict the LRU at position 0), so one argmax
-        # serves both hit rotation and miss shifting.
-        pos = eq.argmax(1)
-        rows = self._rows[:n]
-        hit = eq[rows[:, 0], pos]
-        d_at = Dv[rows[:, 0], pos]
-        # Stats come from the pre-update state: the victim is column 0.
-        ev_real = victims >= 0
-        ev_real &= ~hit
-        n_hits = int(np.count_nonzero(hit))
-        n_evict = int(np.count_nonzero(ev_real))
-        ev_real &= vdirty
-        n_wb = int(np.count_nonzero(ev_real))
-        gather = self._glut[pos]
-        newV = V[rows, gather]
-        newD = Dv[rows, gather]
-        newV[:, -1] = tag
-        if write:
-            newD[:, -1] = True
-        else:
-            newD[:, -1] = hit & d_at
-        self._ways_arr[lo:hi1] = newV
-        self._dirty_arr[lo:hi1] = newD
-        return (n_hits, n - n_hits, n_evict, n_wb)
 
     # -- inspection ---------------------------------------------------------
 
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is resident (no side effects)."""
+        if address < 0:
+            raise HardwareError(f"negative address: {address}")
         if self._oplog:
             self._drain()
         line = address >> self._line_shift
         index = line & self._set_mask
         tag = line >> self._index_bits
-        if self._ways_arr is not None:
-            return bool((self._ways_arr[index] == tag).any())
+        if self._tags is not None:
+            return bool((self._tags[:, index] == tag).any())
         return tag in self._dictsets[index]
 
     @property
@@ -472,18 +533,20 @@ class Cache:
         """Lines currently cached across all sets (sentinels excluded)."""
         if self._oplog:
             self._drain()
-        if self._ways_arr is not None:
-            return int((self._ways_arr >= 0).sum())
+        if self._tags is not None:
+            return int((self._tags >= 0).sum())
         return sum(sum(1 for t in d if t >= 0) for d in self._dictsets)
 
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines written back."""
         if self._oplog:
             self._drain()
-        if self._ways_arr is not None:
-            dirty = int((self._dirty_arr & (self._ways_arr >= 0)).sum())
-            self._ways_arr[:] = _np.arange(-self._ways, 0, dtype=_np.int64)
-            self._dirty_arr[:] = False
+        if self._tags is not None:
+            dirty = int((self._dirty & (self._tags >= 0)).sum())
+            self._tags[:] = _np.arange(-self._ways, 0, dtype=_np.int64)[:, None]
+            self._dirty[:] = False
+            self._keys[:] = _np.arange(
+                self._keys.size, dtype=_np.int64).reshape(self._keys.shape)
             self._stats.writebacks += dirty
             return dirty
         dirty = 0
