@@ -11,6 +11,7 @@ from conftest import publish
 
 from repro import units
 from repro.core import (
+    DeploymentSpec,
     DeviceLinkedLoader,
     HydraRuntime,
     InterfaceSpec,
@@ -70,7 +71,7 @@ def deploy_once(length: int, form: str = "object",
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(root)
+        out["result"] = yield from runtime.deploy(DeploymentSpec(odf_paths=(root,)))
 
     sim.run_until_event(sim.spawn(app()))
     report = out["result"].report

@@ -28,7 +28,7 @@ Packages:
   figure in the paper's evaluation.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 
 def __getattr__(name):

@@ -17,8 +17,7 @@ The surface groups by concern:
   waitable primitives, and the blessed scheduling surface
   ``sim.clock`` (:class:`Clock`: ``after``/``at``/``every``/
   ``timeout``/``fence``, returning cancellable :class:`Timer`
-  handles).  ``Simulator.delay``/``Simulator.schedule`` remain as
-  :class:`DeprecationWarning` shims.
+  handles).
 * **Hardware** — :class:`Machine` and the programmable-device zoo.
 * **Host OS / network** — the simulated kernel, UDP stack and switch.
 * **Programming model** — :class:`HydraRuntime`,
@@ -93,7 +92,6 @@ from repro.net import Address, Link, Packet, Switch
 from repro.core import (
     Call,
     CallPolicy,
-    CreateOffcodeResult,
     InterfaceSpec,
     MethodSpec,
     Offcode,
@@ -292,7 +290,6 @@ __all__ = [
     "Call",
     "CallPolicy",
     "CleanupReport",
-    "CreateOffcodeResult",
     "DeploymentResult",
     "DeploymentSpec",
     "DeviceClassFilter",

@@ -97,7 +97,6 @@ from repro.core.resources import FinalizerFailure, ResourceNode, ResourceTree
 from repro.core.rings import Descriptor, DescriptorRing
 from repro.core.runtime import (
     CleanupReport,
-    CreateOffcodeResult,
     DeploymentResult,
     DeploymentSpec,
     HydraRuntime,
@@ -129,7 +128,6 @@ __all__ = [
     "CleanupReport",
     "CorruptedPayload",
     "CostMetric",
-    "CreateOffcodeResult",
     "DeploymentPipeline",
     "DeploymentResult",
     "DeploymentReport",

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import enum
 import random
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import (AdmissionShedError, ChannelClosedError,
@@ -94,15 +93,7 @@ class BatchConfig:
                 f"batch deadline_ns must be positive: {self.deadline_ns}")
 
 
-# Deprecation shim plumbing: the fluent builder and internal copy-on-write
-# helpers construct configs with this flag raised so only *user* code that
-# still passes raw enum kwargs sees the DeprecationWarning.
-_BUILDER_DEPTH = 0
-
-_DEPRECATED_ENUM_KWARGS = ("kind", "reliability", "sync", "buffering")
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ChannelConfig:
     """The ``ChannelConfig`` structure of Figure 3, as a fluent builder.
 
@@ -111,11 +102,10 @@ class ChannelConfig:
         ChannelConfig.unicast().reliable().zero_copy().batched(
             max_bytes=16 * 1024)
 
-    Every fluent step returns a new frozen config, so partial configs
-    can be shared and specialized freely.  The legacy constructor
-    keyword style (``ChannelConfig(kind=ChannelKind.UNICAST, ...)``)
-    still works but emits a single :class:`DeprecationWarning` per call;
-    it will be removed once nothing ships it.
+    Every fluent step returns a new frozen config (via
+    :func:`dataclasses.replace`), so partial configs can be shared and
+    specialized freely.  Keyword construction is the plain dataclass
+    constructor the fluent steps are built on.
     """
 
     kind: ChannelKind = ChannelKind.UNICAST
@@ -134,96 +124,48 @@ class ChannelConfig:
     # executive rank every capable provider by cost).
     preferred_provider: Optional[str] = None
 
-    def __init__(self, kind: ChannelKind = ChannelKind.UNICAST,
-                 reliability: Reliability = Reliability.RELIABLE,
-                 sync: SyncMode = SyncMode.SEQUENTIAL,
-                 buffering: Buffering = Buffering.DIRECT,
-                 ring_slots: int = 64, priority: int = 1,
-                 target_device: Optional[str] = None, label: str = "",
-                 batch: Optional[BatchConfig] = None,
-                 preferred_provider: Optional[str] = None) -> None:
-        """Build a config; prefer the fluent classmethods over raw kwargs."""
-        if _BUILDER_DEPTH == 0:
-            explicit = [name for name, value, default in (
-                ("kind", kind, ChannelKind.UNICAST),
-                ("reliability", reliability, Reliability.RELIABLE),
-                ("sync", sync, SyncMode.SEQUENTIAL),
-                ("buffering", buffering, Buffering.DIRECT),
-            ) if value is not default]
-            if explicit:
-                warnings.warn(
-                    "raw ChannelConfig enum kwargs "
-                    f"({', '.join(explicit)}) are deprecated; use the "
-                    "fluent builder, e.g. ChannelConfig.unicast()"
-                    ".reliable().zero_copy()",
-                    DeprecationWarning, stacklevel=2)
-        if ring_slots <= 0:
-            raise ChannelError(f"ring_slots must be positive: {ring_slots}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "reliability", reliability)
-        object.__setattr__(self, "sync", sync)
-        object.__setattr__(self, "buffering", buffering)
-        object.__setattr__(self, "ring_slots", ring_slots)
-        object.__setattr__(self, "priority", priority)
-        object.__setattr__(self, "target_device", target_device)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "preferred_provider", preferred_provider)
-
-    # -- internal copy-on-write (never warns) ---------------------------------------
-
-    def _evolve(self, **changes: Any) -> "ChannelConfig":
-        global _BUILDER_DEPTH
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        _BUILDER_DEPTH += 1
-        try:
-            return ChannelConfig(**current)
-        finally:
-            _BUILDER_DEPTH -= 1
+    def __post_init__(self) -> None:
+        if self.ring_slots <= 0:
+            raise ChannelError(
+                f"ring_slots must be positive: {self.ring_slots}")
 
     # -- fluent entry points ---------------------------------------------------------
 
     @classmethod
     def unicast(cls) -> "ChannelConfig":
         """Start a fluent config for a two-endpoint channel."""
-        global _BUILDER_DEPTH
-        _BUILDER_DEPTH += 1
-        try:
-            return cls()
-        finally:
-            _BUILDER_DEPTH -= 1
+        return cls()
 
     @classmethod
     def multicast(cls) -> "ChannelConfig":
         """Start a fluent config for a one-sender/many-receivers channel."""
-        return cls.unicast()._evolve(kind=ChannelKind.MULTICAST)
+        return cls(kind=ChannelKind.MULTICAST)
 
     # -- fluent refinements ------------------------------------------------------------
 
     def reliable(self) -> "ChannelConfig":
         """Blocking-writer semantics: no message is ever dropped."""
-        return self._evolve(reliability=Reliability.RELIABLE)
+        return replace(self, reliability=Reliability.RELIABLE)
 
     def unreliable(self) -> "ChannelConfig":
         """Drop-on-full semantics; injected faults surface to receivers."""
-        return self._evolve(reliability=Reliability.UNRELIABLE)
+        return replace(self, reliability=Reliability.UNRELIABLE)
 
     def sequential(self) -> "ChannelConfig":
         """Strict FIFO end-to-end: one message in flight at a time."""
-        return self._evolve(sync=SyncMode.SEQUENTIAL)
+        return replace(self, sync=SyncMode.SEQUENTIAL)
 
     def unordered(self) -> "ChannelConfig":
         """Let transfers overlap (no end-to-end serialization)."""
-        return self._evolve(sync=SyncMode.NONE)
+        return replace(self, sync=SyncMode.NONE)
 
     def zero_copy(self) -> "ChannelConfig":
         """Request the DIRECT (pinned-buffer, zero-copy) data path."""
-        return self._evolve(buffering=Buffering.DIRECT)
+        return replace(self, buffering=Buffering.DIRECT)
 
     def copied(self) -> "ChannelConfig":
         """Request bounce-buffer (copying) semantics."""
-        return self._evolve(buffering=Buffering.COPY)
+        return replace(self, buffering=Buffering.COPY)
 
     def batched(self, max_bytes: Optional[int] = None,
                 max_calls: Optional[int] = None,
@@ -242,27 +184,27 @@ class ChannelConfig:
             deadline_ns=(base.deadline_ns if deadline_ns is None
                          else deadline_ns),
             adaptive=base.adaptive if adaptive is None else adaptive)
-        return self._evolve(batch=batch)
+        return replace(self, batch=batch)
 
     def unbatched(self) -> "ChannelConfig":
         """Disable coalescing (every message is its own transaction)."""
-        return self._evolve(batch=None)
+        return replace(self, batch=None)
 
     def with_ring_slots(self, slots: int) -> "ChannelConfig":
         """Set the receive-ring depth."""
-        return self._evolve(ring_slots=slots)
+        return replace(self, ring_slots=slots)
 
     def with_priority(self, priority: int) -> "ChannelConfig":
         """Set the delivery priority (0 = the low-priority OOB class)."""
-        return self._evolve(priority=priority)
+        return replace(self, priority=priority)
 
     def labeled(self, label: str) -> "ChannelConfig":
         """Set the application tag carried in availability notices."""
-        return self._evolve(label=label)
+        return replace(self, label=label)
 
     def with_target(self, device: Optional[str]) -> "ChannelConfig":
         """Copy of this config with ``target_device`` set (Figure 3)."""
-        return self._evolve(target_device=device)
+        return replace(self, target_device=device)
 
     def via(self, provider: Optional[str]) -> "ChannelConfig":
         """Pin provider selection to ``provider`` (by registered name).
@@ -272,7 +214,7 @@ class ChannelConfig:
         :class:`~repro.errors.ProviderError` instead of silently
         falling back.  ``via(None)`` restores cost-ranked selection.
         """
-        return self._evolve(preferred_provider=provider)
+        return replace(self, preferred_provider=provider)
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,6 @@ class DeploymentPipeline:
         solving the union closure jointly lets the ILP satisfy every
         app's constraints at once.
         """
-        if not odf_paths:
-            raise DeploymentError("deploy_many needs at least one ODF")
         documents: List[OdfDocument] = []
         roots: List[str] = []
         seen = set()

@@ -17,15 +17,14 @@ OS-packaging detail, not a behavioural one).  It owns:
   ``hydra.ChannelExecutive`` on the host; a ``hydra.Heap`` per device).
 
 The programming-model entry points mirror the paper's API: a process
-calls ``CreateOffcode`` (:meth:`create_offcode`) with an ODF path and
-receives a proxy; ``GetOffcode`` (:meth:`get_offcode`) returns any
+calls ``CreateOffcode`` (:meth:`deploy` with a :class:`DeploymentSpec`)
+and receives a proxy; ``GetOffcode`` (:meth:`get_offcode`) returns any
 registered Offcode by bind name; ``CreateChannel`` goes through the
 executive exactly as in Figure 3.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Generator, Iterable, List, Optional,
                     Set, Tuple)
@@ -67,7 +66,7 @@ from repro.sim.resources import Resource as SimResource
 from repro.sim.trace import emit as trace_emit
 
 __all__ = ["HydraRuntime", "DeploymentSpec", "DeploymentResult",
-           "CreateOffcodeResult", "CleanupReport", "RecoveryIncident"]
+           "CleanupReport", "RecoveryIncident"]
 
 
 @dataclass
@@ -142,28 +141,12 @@ class RecoveryIncident:
         return self.recovered_at_ns - self.died_at_ns
 
 
-@dataclass
-class CreateOffcodeResult:
-    """What ``CreateOffcode`` hands back to the OA-application."""
-
-    proxy: Proxy
-    offcode: Offcode
-    channel: Channel
-    report: DeploymentReport
-
-    @property
-    def location(self) -> str:
-        """Where the root Offcode landed (device name or 'host')."""
-        return self.offcode.location
-
-
 @dataclass(frozen=True)
 class DeploymentSpec:
     """Typed description of one deployment request.
 
-    The single entry point :meth:`HydraRuntime.deploy` takes one of
-    these instead of the historical ``create_offcode(path, interface)``
-    / ``deploy_joint(paths)`` split: one ODF path deploys a single
+    The single entry point :meth:`HydraRuntime.deploy` (the paper's
+    ``CreateOffcode``) takes one of these: one ODF path deploys a single
     application, several paths deploy them under one joint layout solve
     (Section 5's multi-application scenario).
 
@@ -371,7 +354,7 @@ class HydraRuntime:
 
     def deploy(self, spec: DeploymentSpec
                ) -> Generator[Event, None, DeploymentResult]:
-        """The unified deployment entry point.
+        """``CreateOffcode``: the single deployment entry point.
 
         Runs Figure 5 for the spec's ODF closure(s) — one path deploys a
         single application; several run under one joint layout solve —
@@ -414,49 +397,6 @@ class HydraRuntime:
         result.proxy = Proxy(iface, channel, channel.creator_endpoint)
         self._proxies.setdefault(offcode.bindname, []).append(result.proxy)
         return result
-
-    def create_offcode(self, odf_path: str,
-                       interface: Optional[str] = None,
-                       objective: Optional[Objective] = None
-                       ) -> Generator[Event, None, CreateOffcodeResult]:
-        """``CreateOffcode``: deploy the ODF closure, connect a channel
-        to the root Offcode and return a user-space proxy for it.
-
-        .. deprecated::
-            Thin wrapper over :meth:`deploy`; build a
-            :class:`DeploymentSpec` instead.
-        """
-        warnings.warn(
-            "HydraRuntime.create_offcode is deprecated; use "
-            "runtime.deploy(DeploymentSpec(odf_paths=(path,)))",
-            DeprecationWarning, stacklevel=2)
-        result = yield from self.deploy(DeploymentSpec(
-            odf_paths=(odf_path,), interface=interface,
-            objective=objective))
-        return CreateOffcodeResult(proxy=result.proxy,
-                                   offcode=result.offcode,
-                                   channel=result.channel,
-                                   report=result.report)
-
-    def deploy_joint(self, odf_paths: list,
-                     objective: Optional[Objective] = None
-                     ) -> Generator[Event, None, DeploymentReport]:
-        """Deploy several applications under one joint layout solve
-        (Section 5's multi-application scenario); returns the combined
-        report.  Use :meth:`get_offcode` to reach each root afterwards.
-
-        .. deprecated::
-            Thin wrapper over :meth:`deploy`; build a
-            :class:`DeploymentSpec` with several paths and
-            ``proxy=False`` instead.
-        """
-        warnings.warn(
-            "HydraRuntime.deploy_joint is deprecated; use "
-            "runtime.deploy(DeploymentSpec(odf_paths=paths, proxy=False))",
-            DeprecationWarning, stacklevel=2)
-        result = yield from self.deploy(DeploymentSpec(
-            odf_paths=tuple(odf_paths), objective=objective, proxy=False))
-        return result.report
 
     def create_channel(self, config: ChannelConfig) -> Channel:
         """``CreateChannel`` (Figure 3, step 1): creator endpoint on the

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.evaluation import sweeps as _sweeps
 from repro.media.mpeg import StreamConfig
 
-__all__ = ["SweepTask", "default_workers", "fork_context",
-           "map_unordered", "run_tasks"]
+__all__ = ["SweepTask", "default_workers", "fork_context", "run_tasks"]
 
 # One unit of work: (scenario, stream, seconds, seed).
 SweepTask = Tuple[str, StreamConfig, float, int]
@@ -97,80 +96,3 @@ def run_tasks(tasks: Sequence[SweepTask],
     # re-importing the package and StreamConfig pickles stay tiny.
     with fork_context().Pool(processes=min(workers, len(tasks))) as pool:
         return pool.map(_run_task, tasks)
-
-
-class _ChunkRunner:
-    """Apply ``fn`` to a contiguous chunk of items inside a worker.
-
-    Module-level class (not a closure) so the supervised path's worker
-    body stays importable; fork inheritance hands it to workers without
-    pickling either way.
-    """
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, chunk: Sequence) -> List:
-        return [self.fn(item) for item in chunk]
-
-
-def map_unordered(fn: Callable, items: Sequence, workers: int,
-                  chunksize: int = 1, supervised: bool = True,
-                  policy=None) -> Iterable:
-    """Map ``fn`` over ``items`` on a crash-safe worker pool.
-
-    The fleet runner's dispatch primitive.  By default dispatch runs
-    through :class:`~repro.evaluation.supervised.SupervisedPool`: a
-    worker OOM-killed or wedged mid-item no longer hangs the whole map —
-    the chunk is retried per ``policy`` (a
-    :class:`~repro.evaluation.supervised.SupervisionPolicy`; default:
-    two retries with capped backoff, hedged stragglers) and a chunk that
-    exhausts its retries raises :class:`ReproError` naming it.  Note the
-    supervised path is **not** streaming: it buffers the entire run and
-    only starts yielding (in chunk-completion order) once every chunk
-    has settled, so a quarantine raises before any result is produced.
-    ``supervised=False`` keeps the bare ``Pool.imap_unordered`` path,
-    which does yield each result as its worker finishes and re-raises
-    the worker's own exception — the baseline the supervision-overhead
-    benchmark compares against.
-
-    ``chunksize`` batches items so each worker pickup carries several;
-    retry/timeout granularity under supervision is the chunk.  Callers
-    that need deterministic output must carry an index in the result
-    and reorder — completion order is *not* stable.
-
-    ``workers=1`` runs in-process (no fork, no multiprocessing import
-    path at all), which is what the determinism tests diff against.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1: {chunksize}")
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    if not supervised:
-        with fork_context().Pool(
-                processes=min(workers, len(items))) as pool:
-            for result in pool.imap_unordered(fn, items,
-                                              chunksize=chunksize):
-                yield result
-        return
-    from repro.evaluation.supervised import SupervisedPool
-    chunks = [items[i:i + chunksize]
-              for i in range(0, len(items), chunksize)]
-    pool = SupervisedPool(_ChunkRunner(fn), workers=min(workers,
-                                                        len(chunks)),
-                          policy=policy)
-    results = pool.run(chunks)
-    if pool.failures:
-        raise ReproError(
-            "map_unordered: chunk(s) quarantined after retry "
-            "exhaustion: " + "; ".join(
-                failure.summary()
-                for _, failure in sorted(pool.failures.items())))
-    for chunk_id in pool.completion_order:
-        for result in results[chunk_id]:
-            yield result

@@ -29,6 +29,7 @@ from repro.core.offcode import OffcodeState
 from repro.core.watchdog import WatchdogConfig
 from repro.faults.plan import FaultPlan
 from repro.resilience import SupervisorConfig
+from repro.telemetry.adapters import check_channel_conservation
 from repro.tivopc.client import OffloadedClient
 from repro.tivopc.components import StreamerOffcode
 from repro.tivopc.server import OffloadedServer
@@ -309,24 +310,8 @@ def check_invariants(run: ChaosRun) -> List[str]:
                 "neither crashed nor fenced")
 
     # 4. Exactly-once accounting on every noise-armed reliable channel.
-    #    The identity counts wire attempts; a channel torn down by a
-    #    crash may carry one in-flight frame whose verdict never landed.
     for runtime in runtimes.values():
-        for channel in runtime.executive.channels:
-            if channel._rel is None:
-                continue
-            stats = channel.stats()
-            imbalance = stats.sent - (stats.delivered + stats.dropped)
-            slack = 1 if channel.closed else 0
-            if not 0 <= imbalance <= slack:
-                violations.append(
-                    f"channel #{stats.channel_id} ({stats.label!r}) "
-                    f"leaks accounting: sent={stats.sent} "
-                    f"delivered={stats.delivered} dropped={stats.dropped}")
-            if stats.corrupted + stats.dup_dropped > stats.dropped:
-                violations.append(
-                    f"channel #{stats.channel_id} ({stats.label!r}) "
-                    "drop breakdown exceeds total drops")
+        violations.extend(check_channel_conservation(runtime.executive))
 
     # 5. The Figure-8 pipeline survived: every component deployed and
     #    running on a healthy site.

@@ -74,7 +74,6 @@ Example
 
 from __future__ import annotations
 
-import warnings
 from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -695,11 +694,6 @@ class Simulator:
 
     DEFAULT_POOL_SIZE = 256
 
-    # One-shot deprecation latches (class-level: warn once per run, not
-    # once per simulator).
-    _delay_warned = False
-    _schedule_warned = False
-
     def __init__(self, event_pool_size: Optional[int] = None,
                  scheduler: str = "wheel") -> None:
         if scheduler not in ("wheel", "heap"):
@@ -758,26 +752,6 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` ns from now."""
         return Timeout(self, int(delay), value)
-
-    def delay(self, delay: int, value: Any = None) -> _Deferred:
-        """Deprecated: use ``sim.clock.after(delay, value=value)``."""
-        if not Simulator._delay_warned:
-            Simulator._delay_warned = True
-            warnings.warn(
-                "Simulator.delay() is deprecated; use "
-                "sim.clock.after(delay, value=...) instead",
-                DeprecationWarning, stacklevel=2)
-        return self.clock.after(delay, value=value)
-
-    def schedule(self, fn: Callable[[], Any], delay: int = 0) -> Timer:
-        """Deprecated: use ``sim.clock.after(delay, fn)``."""
-        if not Simulator._schedule_warned:
-            Simulator._schedule_warned = True
-            warnings.warn(
-                "Simulator.schedule() is deprecated; use "
-                "sim.clock.after(delay, fn) instead",
-                DeprecationWarning, stacklevel=2)
-        return self.clock.after(delay, fn)
 
     def spawn(self, generator: Generator[Event, Any, Any],
               name: Optional[str] = None, delay: int = 0) -> Process:

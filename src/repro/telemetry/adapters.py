@@ -125,9 +125,9 @@ def bind_sim(registry: MetricsRegistry, sim) -> None:
 def check_channel_conservation(executive) -> List[str]:
     """The conservation law as a checkable predicate.
 
-    Mirrors the chaos soak's oracle: on every noise-armed reliable
-    channel ``sent - (delivered + dropped)`` must be 0, with one frame
-    of slack on a channel torn down mid-flight.  Returns human-readable
+    The chaos soak's oracle: on every noise-armed reliable channel
+    ``sent - (delivered + dropped)`` must be 0, with one frame of slack
+    on a channel torn down mid-flight.  Returns human-readable
     violations (empty = law holds).
     """
     violations: List[str] = []

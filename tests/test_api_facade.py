@@ -1,4 +1,4 @@
-"""The repro.api facade and backward compatibility of deprecated APIs."""
+"""The repro.api facade, DeploymentSpec and the ChannelConfig builder."""
 
 import ast
 import pathlib
@@ -18,7 +18,7 @@ from repro.core.interfaces import InterfaceSpec, MethodSpec
 from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.core.offcode import Offcode
 from repro.core.runtime import DeploymentSpec, HydraRuntime
-from repro.errors import DeploymentError
+from repro.errors import ChannelError, DeploymentError
 from repro.hw import DeviceClass, Machine
 from repro.sim import Simulator
 
@@ -79,7 +79,7 @@ def test_deployment_spec_requires_a_path():
         DeploymentSpec(odf_paths=())
 
 
-# -- deprecated entry points ---------------------------------------------------------
+# -- deploying through the spec -----------------------------------------------------
 
 ICHECK = InterfaceSpec.from_methods(
     "ICheck", (MethodSpec("Compute", params=(("size", "int"),),
@@ -109,43 +109,6 @@ def _runtime_with_odf():
     return sim, runtime
 
 
-def test_create_offcode_still_works_but_warns():
-    sim, runtime = _runtime_with_odf()
-    results = {}
-
-    def app():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = yield from runtime.create_offcode(
-                "/offcodes/check.odf")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "create_offcode" in str(deprecations[0].message)
-        results["location"] = result.location
-        results["value"] = yield from result.proxy.Compute(4096)
-
-    sim.run_until_event(sim.spawn(app()))
-    assert results["location"] == "nic0"
-    assert results["value"] == 4096
-
-
-def test_deploy_joint_still_works_but_warns():
-    sim, runtime = _runtime_with_odf()
-
-    def app():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield from runtime.deploy_joint(["/offcodes/check.odf"])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "deploy_joint" in str(deprecations[0].message)
-
-    sim.run_until_event(sim.spawn(app()))
-    assert runtime.get_offcode("compat.Check").location == "nic0"
-
-
 def test_runtime_deploy_does_not_warn():
     sim, runtime = _runtime_with_odf()
 
@@ -158,17 +121,21 @@ def test_runtime_deploy_does_not_warn():
     sim.run_until_event(sim.spawn(app()))
 
 
-# -- the ChannelConfig deprecation shim ----------------------------------------------
+# -- the ChannelConfig builder ------------------------------------------------------
 
-def test_raw_enum_kwargs_warn_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = ChannelConfig(kind=ChannelKind.MULTICAST)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "kind" in str(deprecations[0].message)
-    assert config.kind is ChannelKind.MULTICAST
+def test_channel_config_keywords_and_builder_agree():
+    keywords = ChannelConfig(kind=ChannelKind.MULTICAST)
+    assert keywords == ChannelConfig.multicast()
+    assert hash(keywords) == hash(ChannelConfig.multicast())
+    base = ChannelConfig.unicast()
+    refined = base.unreliable()
+    assert refined is not base
+    assert base.reliability is Reliability.RELIABLE
+    assert refined.reliability is Reliability.UNRELIABLE
+    with pytest.raises(ChannelError):
+        ChannelConfig(ring_slots=0)
+    with pytest.raises(ChannelError):
+        ChannelConfig.unicast().with_ring_slots(0)
 
 
 def test_raw_defaults_do_not_warn():

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import (
     CallPolicy,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
@@ -59,7 +60,8 @@ def deploy(sim, runtime):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode("/echo.odf")
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/echo.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]

@@ -4,7 +4,8 @@ import pytest
 
 from repro import units
 from repro.errors import DeploymentError
-from repro.core import HydraRuntime, InterfaceSpec, MethodSpec, Offcode
+from repro.core import (DeploymentSpec, HydraRuntime, InterfaceSpec,
+                        MethodSpec, Offcode)
 from repro.core.guid import Guid
 from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.hw import DeviceClass, Machine
@@ -47,7 +48,8 @@ def deploy(sim, runtime):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode("/cap.odf")
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/cap.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]
@@ -99,7 +101,7 @@ def test_mid_deployment_loader_failure_is_wrapped():
     nic.memory.allocate = allocate_then_hog
 
     def app():
-        yield from runtime.create_offcode("/cap.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/cap.odf",)))
 
     sim.spawn(app())
     with pytest.raises(DeploymentError, match="mid-deployment"):
@@ -141,7 +143,7 @@ def test_tivopc_and_scanner_share_the_smart_disk():
 
     def second_app():
         yield testbed.sim.timeout(units.s_to_ns(1))
-        yield from runtime.create_offcode("/scanner.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/scanner.odf",)))
 
     testbed.sim.spawn(second_app())
     testbed.run(8)

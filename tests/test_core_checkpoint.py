@@ -14,6 +14,7 @@ from repro.core import (
     Checkpoint,
     CheckpointConfig,
     CheckpointStore,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
@@ -81,7 +82,8 @@ def deploy(sim, runtime, path="/counter.odf"):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(path)
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=(path,)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]

@@ -15,6 +15,7 @@ from repro.core import (
     ChannelConfig,
     ChannelKind,
     CorruptedPayload,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
@@ -90,7 +91,8 @@ def deploy(sim, runtime, path="/worker.odf"):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(path)
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=(path,)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]

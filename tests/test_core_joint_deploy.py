@@ -8,7 +8,8 @@ to the host.  Deployed jointly, the single ILP solve satisfies both.
 
 import pytest
 
-from repro.core import HydraRuntime, InterfaceSpec, MethodSpec, Offcode
+from repro.core import (DeploymentSpec, HydraRuntime, InterfaceSpec,
+                        MethodSpec, Offcode)
 from repro.core.guid import Guid
 from repro.core.layout.constraints import ConstraintType
 from repro.core.odf import DeviceClassFilter, OdfDocument, OdfImport
@@ -90,9 +91,10 @@ def test_sequential_deployment_pins_shared_badly():
     out = {}
 
     def app():
-        yield from runtime.create_offcode("/app-a.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/app-a.odf",)))
         out["shared_at"] = runtime.get_offcode("joint.Shared").location
-        result = yield from runtime.create_offcode("/app-b.odf")
+        result = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/app-b.odf",)))
         out["b_report"] = result.report
 
     sim.run_until_event(sim.spawn(app()))
@@ -113,8 +115,8 @@ def test_joint_deployment_satisfies_both_apps():
     out = {}
 
     def app():
-        out["report"] = yield from runtime.deploy_joint(
-            ["/app-a.odf", "/app-b.odf"])
+        out["report"] = (yield from runtime.deploy(DeploymentSpec(
+            odf_paths=("/app-a.odf", "/app-b.odf"), proxy=False))).report
 
     sim.run_until_event(sim.spawn(app()))
     report = out["report"]
@@ -135,10 +137,10 @@ def test_joint_deployment_with_overlap_reuses():
     out = {}
 
     def app():
-        yield from runtime.create_offcode("/shared.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/shared.odf",)))
         out["first"] = runtime.get_offcode("joint.Shared")
-        out["report"] = yield from runtime.deploy_joint(
-            ["/app-a.odf"])
+        out["report"] = (yield from runtime.deploy(DeploymentSpec(
+            odf_paths=("/app-a.odf",), proxy=False))).report
 
     sim.run_until_event(sim.spawn(app()))
     assert "joint.Shared" in out["report"].reused
@@ -146,12 +148,7 @@ def test_joint_deployment_with_overlap_reuses():
 
 
 def test_deploy_many_requires_paths():
-    sim, machine, runtime = make_runtime()
     from repro.errors import DeploymentError
 
-    def app():
-        yield from runtime.deploy_joint([])
-
-    sim.spawn(app())
     with pytest.raises(DeploymentError):
-        sim.run()
+        DeploymentSpec(odf_paths=[], proxy=False)

@@ -6,6 +6,7 @@ from repro.errors import HydraError, InfeasibleLayoutError, OffcodeError
 from repro.core import (
     Buffering,
     ChannelConfig,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
@@ -92,8 +93,8 @@ def test_create_offcode_deploys_to_nic():
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(
-            "/offcodes/socket.odf")
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     result = out["result"]
@@ -116,7 +117,8 @@ def test_proxy_invocation_end_to_end():
     out = {}
 
     def app():
-        result = yield from runtime.create_offcode("/offcodes/socket.odf")
+        result = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
         out["sent"] = yield from result.proxy.Send(1024)
 
     sim.run_until_event(sim.spawn(app()))
@@ -129,7 +131,8 @@ def test_oob_channel_attached_to_each_offcode():
     sim, machine, runtime = make_world()
 
     def app():
-        yield from runtime.create_offcode("/offcodes/socket.odf")
+        yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     for bindname in ("net.Socket", "net.Checksum"):
@@ -144,9 +147,11 @@ def test_reuse_of_deployed_offcode():
     out = {}
 
     def app():
-        yield from runtime.create_offcode("/offcodes/checksum.odf")
+        yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/checksum.odf",)))
         first = runtime.get_offcode("net.Checksum")
-        result = yield from runtime.create_offcode("/offcodes/socket.odf")
+        result = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
         out["first"] = first
         out["report"] = result.report
 
@@ -174,7 +179,8 @@ def test_host_fallback_when_no_device_matches():
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode("/c.odf")
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/c.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     assert out["result"].location == "host"
@@ -190,7 +196,7 @@ def test_deployment_fails_without_any_implementation():
     runtime.library.register("/x.odf", odf)
 
     def app():
-        yield from runtime.create_offcode("/x.odf")
+        yield from runtime.deploy(DeploymentSpec(odf_paths=("/x.odf",)))
 
     sim.spawn(app())
     with pytest.raises(InfeasibleLayoutError):
@@ -213,7 +219,8 @@ def test_runtime_pseudo_offcode_lists_deployments():
     sim, machine, runtime = make_world()
 
     def app():
-        yield from runtime.create_offcode("/offcodes/socket.odf")
+        yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     rt = runtime.get_offcode("hydra.Runtime")
@@ -241,7 +248,8 @@ def test_stop_offcode_releases_registration():
     sim, machine, runtime = make_world()
 
     def app():
-        yield from runtime.create_offcode("/offcodes/socket.odf")
+        yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/socket.odf",)))
         yield from runtime.stop_offcode("net.Socket")
 
     sim.run_until_event(sim.spawn(app()))
@@ -258,7 +266,8 @@ def test_figure3_manual_channel_flow():
     out = {"handled": []}
 
     def app():
-        result = yield from runtime.create_offcode("/offcodes/checksum.odf")
+        result = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/checksum.odf",)))
         ocode = result.offcode
         exec_oc = runtime.get_offcode("hydra.ChannelExecutive")
         assert exec_oc.ProviderCount() >= 3
@@ -278,7 +287,8 @@ def test_register_offcode_twice_rejected():
     sim, machine, runtime = make_world()
 
     def app():
-        yield from runtime.create_offcode("/offcodes/checksum.odf")
+        yield from runtime.deploy(
+            DeploymentSpec(odf_paths=("/offcodes/checksum.odf",)))
 
     sim.run_until_event(sim.spawn(app()))
     offcode = runtime.get_offcode("net.Checksum")

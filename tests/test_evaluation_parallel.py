@@ -14,7 +14,7 @@ import pytest
 from repro import units
 from repro.errors import ReproError
 from repro.evaluation.parallel import (default_workers, fork_context,
-                                       map_unordered, run_tasks)
+                                       run_tasks)
 from repro.evaluation.sweeps import run_chunk_size_sweep, run_rate_sweep
 from repro.media.mpeg import StreamConfig
 
@@ -102,63 +102,12 @@ def test_fork_context_error_is_clear_without_fork():
             fork_context()
 
 
-def test_map_unordered_single_worker_is_in_process():
-    assert sorted(map_unordered(abs, [-3, 1, -2], workers=1)) == [1, 2, 3]
-
-
-def test_map_unordered_multi_worker_same_results():
-    sequential = sorted(map_unordered(_square, range(8), workers=1))
-    parallel = sorted(map_unordered(_square, range(8), workers=2,
-                                    chunksize=2))
-    assert sequential == parallel == [i * i for i in range(8)]
-
-
-def test_map_unordered_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        list(map_unordered(abs, [1], workers=0))
-
-
 def test_single_worker_paths_never_touch_multiprocessing():
     # workers=1 must not even request a start method — the in-process
     # path has to work on spawn-only platforms and under test harnesses
     # that forbid forking.
     with mock.patch("multiprocessing.get_context",
                     side_effect=AssertionError("in-process path forked")):
-        assert sorted(map_unordered(abs, [-3, 1, -2], workers=1)) == [1, 2, 3]
         stream = StreamConfig(interval_ns=units.ms_to_ns(10.0))
         points = run_tasks([("offloaded", stream, _SECONDS, 0)], workers=1)
         assert [p.scenario for p in points] == ["offloaded"]
-
-
-def test_map_unordered_surfaces_fork_error_as_repro_error():
-    with mock.patch("multiprocessing.get_context",
-                    side_effect=ValueError("cannot find context")):
-        with pytest.raises(ReproError, match="workers=1 instead"):
-            list(map_unordered(_square, range(4), workers=2,
-                               supervised=False))
-
-
-def test_map_unordered_unsupervised_matches_supervised():
-    supervised = sorted(map_unordered(_square, range(8), workers=2))
-    bare = sorted(map_unordered(_square, range(8), workers=2,
-                                supervised=False))
-    assert supervised == bare == [i * i for i in range(8)]
-
-
-def test_map_unordered_raises_on_quarantined_chunk():
-    from repro.evaluation.supervised import SupervisionPolicy
-    policy = SupervisionPolicy(max_retries=0, backoff_base_s=0.0,
-                               backoff_cap_s=0.0, poll_s=0.01)
-    with pytest.raises(ReproError, match="quarantined"):
-        list(map_unordered(_reject_two, range(4), workers=2,
-                           policy=policy))
-
-
-def _reject_two(x):
-    if x == 2:
-        raise RuntimeError("two is right out")
-    return x
-
-
-def _square(x):
-    return x * x

@@ -17,6 +17,7 @@ import pytest
 from repro.errors import AdmissionShedError, MigrationError
 from repro.core import (
     ChannelConfig,
+    DeploymentSpec,
     HydraRuntime,
     InterfaceSpec,
     MethodSpec,
@@ -87,7 +88,8 @@ def deploy(sim, runtime, path="/worker.odf"):
     out = {}
 
     def app():
-        out["result"] = yield from runtime.create_offcode(path)
+        out["result"] = yield from runtime.deploy(
+            DeploymentSpec(odf_paths=(path,)))
 
     sim.run_until_event(sim.spawn(app()))
     return out["result"]

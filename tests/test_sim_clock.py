@@ -1,13 +1,10 @@
-"""The blessed ``sim.clock`` scheduling API and its deprecation shims.
+"""The blessed ``sim.clock`` scheduling API.
 
 Covers the surface the timer-wheel core exports — ``after`` / ``at`` /
 ``every`` / ``timeout`` / ``fence`` and cancellable :class:`Timer` —
-plus the one-shot DeprecationWarnings on the legacy ``Simulator.delay``
-and ``Simulator.schedule`` entry points, and the zero-drift guarantee
-of ``clock.every`` over a million firings.
+and the zero-drift guarantee of ``clock.every`` over a million firings.
 """
 
-import warnings
 
 import pytest
 
@@ -220,50 +217,3 @@ def test_far_future_cancel_counts_dead_then_reclaims():
     assert removed == len(timers)
     assert sim.dead_timers == 0
     sim.run()                            # drains without firing anything
-
-
-# -- deprecation shims ------------------------------------------------------------
-
-
-def _reset_deprecation_latches():
-    Simulator._delay_warned = False
-    Simulator._schedule_warned = False
-
-
-def test_sim_delay_shim_warns_once_and_still_sleeps():
-    _reset_deprecation_latches()
-    sim = Simulator()
-    got = []
-
-    def sleeper():
-        got.append((yield sim.delay(1_000, "v")))
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sim.spawn(sleeper())
-        sim.run()
-        sim2 = Simulator()
-        sim2.spawn(sleeper())            # second use: no second warning
-        sim2.run()
-    assert got == ["v", "v"]
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "clock.after" in str(deprecations[0].message)
-
-
-def test_sim_schedule_shim_warns_once_and_still_fires():
-    _reset_deprecation_latches()
-    sim = Simulator()
-    fired = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        timer = sim.schedule(lambda: fired.append(sim.now), delay=500)
-        sim.schedule(lambda: fired.append(sim.now), delay=700)
-    assert isinstance(timer, Timer)
-    sim.run()
-    assert fired == [500, 700]
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "clock.after" in str(deprecations[0].message)

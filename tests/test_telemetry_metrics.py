@@ -6,11 +6,12 @@ adapter half runs the chaos soak's fast subset with telemetry attached
 and asserts the channel conservation law — ``sent == delivered +
 dropped`` on every noise-armed reliable channel — holds and is exported
 as a first-class metric, alongside the absorbed ``marshal.stats``
-counters.
+counters; hand-built channels check that each violation is reported.
 """
 
 import pytest
 
+from repro.core.channel import ChannelStats
 from repro.errors import ReproError
 from repro.faults.chaos import ChaosProfile, run_chaos_scenario
 from repro.telemetry import MetricsRegistry
@@ -122,6 +123,45 @@ def test_snapshot_shape():
         "samples": [{"labels": {"q": "rx"}, "value": 4}]}
     assert snap["lat"]["samples"][0] == {
         "labels": {}, "count": 1, "sum": 3, "buckets": [[10, 1]]}
+
+
+# -- the conservation checker on hand-built channels -------------------------------
+
+
+class _FakeChannel:
+    def __init__(self, channel_id, sent, delivered, dropped, corrupted=0,
+                 dup_dropped=0, closed=False, rel=True):
+        self._rel = object() if rel else None
+        self.closed = closed
+        self._stats = ChannelStats(
+            channel_id=channel_id, label="fake", sent=sent,
+            delivered=delivered, dropped=dropped, corrupted=corrupted,
+            bytes=0, dup_dropped=dup_dropped)
+
+    def stats(self):
+        return self._stats
+
+
+class _FakeExecutive:
+    def __init__(self, *channels):
+        self.channels = list(channels)
+
+
+def test_conservation_checker_reports_each_violation():
+    executive = _FakeExecutive(
+        _FakeChannel(1, sent=5, delivered=3, dropped=1),
+        _FakeChannel(2, sent=6, delivered=4, dropped=0, closed=True),
+        _FakeChannel(3, sent=4, delivered=2, dropped=2, corrupted=2,
+                     dup_dropped=1),
+        _FakeChannel(4, sent=5, delivered=4, dropped=0, closed=True),
+        _FakeChannel(5, sent=9, delivered=0, dropped=0, rel=False))
+    assert check_channel_conservation(executive) == [
+        "channel #1 ('fake') leaks accounting: sent=5 delivered=3 "
+        "dropped=1",
+        "channel #2 ('fake') leaks accounting: sent=6 delivered=4 "
+        "dropped=0",
+        "channel #3 ('fake') drop breakdown exceeds total drops",
+    ]
 
 
 # -- conservation law under chaos ----------------------------------------------------
