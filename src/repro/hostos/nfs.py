@@ -115,7 +115,7 @@ class NfsServer:
         service = max(self.config.service_min_ns,
                       round(self.rng.gauss(self.config.service_mean_ns,
                                            self.config.service_sigma_ns)))
-        yield self.kernel.sim.timeout(service)
+        yield self.kernel.sim.clock.after(service)
         if request.op == "read":
             stored = self.files.get(request.handle)
             size = request.size if stored is None else min(
@@ -356,7 +356,7 @@ class RemoteFile:
         self.write_offset += size
         self._sim.spawn(self._flush(offset, size),
                         name=f"writebehind-{self.handle}")
-        yield self._sim.timeout(0)
+        yield self._sim.clock.after(0)
 
     def _flush(self, offset: int, size: int) -> Generator[Event, None, None]:
         yield from self.client.write(self.handle, offset, size)

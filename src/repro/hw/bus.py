@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro import units
-from repro.errors import BusError
+from repro.errors import BusError, InterruptError
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
 from repro.sim.trace import emit as trace_emit
@@ -216,7 +216,12 @@ class Bus:
             span = tel.begin("bus.transfer", "bus", self.telemetry_track,
                              parent=tel.current_ctx(), src=src, dst=dst,
                              bytes=size_bytes)
-        yield self._arbiter.request()
+        request = self._arbiter.request()
+        try:
+            yield request
+        except InterruptError:
+            self._arbiter.withdraw(request)
+            raise
         start = self.sim.now
         try:
             # Bare-int yield: the engine's allocation-free fused sleep.

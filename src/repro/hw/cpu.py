@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro import units
-from repro.errors import HardwareError
+from repro.errors import HardwareError, InterruptError
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
 
@@ -65,7 +65,13 @@ class Cpu:
         """
         if duration_ns < 0:
             raise HardwareError(f"negative CPU work: {duration_ns}")
-        yield self._resource.request()
+        request = self._resource.request()
+        try:
+            yield request
+        except InterruptError:
+            # Stopped while queued or just granted: never strand the slot.
+            self._resource.withdraw(request)
+            raise
         try:
             # Bare-int yield: the engine's allocation-free fused sleep.
             yield duration_ns

@@ -89,7 +89,7 @@ class SmartDisk(ProgrammableDevice):
         if self._backing is not None:
             yield from self._backing.write_block(lba, size)
         else:
-            yield self.sim.timeout(self._media_time(size))
+            yield self.sim.clock.after(self._media_time(size))
         self._blocks[lba] = size
         self.writes += 1
         self.bytes_written += size
@@ -102,7 +102,7 @@ class SmartDisk(ProgrammableDevice):
         if self._backing is not None:
             yield from self._backing.read_block(lba, size)
         else:
-            yield self.sim.timeout(self._media_time(size))
+            yield self.sim.clock.after(self._media_time(size))
         stored = self._blocks.get(lba, 0)
         self.reads += 1
         self.bytes_read += stored

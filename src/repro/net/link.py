@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import units
-from repro.errors import SimulationError
+from repro.errors import InterruptError, SimulationError
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -57,16 +57,21 @@ class Link:
         self.sim.spawn(self._carry(packet), name=f"{self.name}-tx")
 
     def _carry(self, packet: Packet):
-        yield self._wire.request()
+        request = self._wire.request()
         try:
-            yield self.sim.timeout(self.serialization_ns(packet))
+            yield request
+        except InterruptError:
+            self._wire.withdraw(request)
+            raise
+        try:
+            yield self.sim.clock.after(self.serialization_ns(packet))
         finally:
             self._wire.release()
         # Propagation happens off the wire; the next frame can start.
         delay = self.spec.propagation_ns
         if self.spec.jitter_sigma_ns:
             delay += abs(round(self.rng.gauss(0, self.spec.jitter_sigma_ns)))
-        yield self.sim.timeout(delay)
+        yield self.sim.clock.after(delay)
         self.packets_carried += 1
         self.bytes_carried += packet.wire_bytes
         self.deliver(packet)

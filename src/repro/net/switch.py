@@ -76,7 +76,7 @@ class Switch:
         self.sim.spawn(self._forward_proc(packet), name="switch-fwd")
 
     def _forward_proc(self, packet: Packet):
-        yield self.sim.timeout(self.spec.forwarding_ns)
+        yield self.sim.clock.after(self.spec.forwarding_ns)
         egress = self._egress.get(packet.dst.host)
         if egress is None:
             self.dropped_unknown += 1

@@ -47,6 +47,15 @@ so the per-event costs are engineered away:
   entry pops (no callback list, no trigger state machine).  The small
   :class:`_Deferred` request objects are recycled through a free list
   (``event_pool_size`` bounds it, ``pool_recycled`` counts reuse).
+* **Every wait satisfied at creation is fused the same way.**
+  ``spawn()`` queues the new process itself as its start entry, and an
+  uncontended ``Resource.request()`` or a ``Store.put()``/``get()``
+  that completes at once returns a ``clock.after(0, value=...)`` handle
+  instead of an already-triggered Event.  The process's entry takes the
+  seq the Event would have had, at the same time and priority, so the
+  pop order and ``events_processed`` are unchanged; only the allocation
+  and the callback dispatch are gone.  Waits that can block, anything
+  stored or combined, and process completion stay Events.
 * **Cancellation is lazy but bounded.**  :meth:`Process.interrupt` and
   :meth:`Timer.cancel` never scan the active heap; a cancelled wheel
   entry is removed in place when its slot is reachable (O(slot)) and
@@ -76,6 +85,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heapify, heappop, heappush
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import InterruptError, ProcessError, SchedulingError
@@ -323,16 +333,6 @@ class Timer:
         return f"<Timer {kind} when={self.when} cancelled={self._cancelled}>"
 
 
-class Initialize(Event):
-    """Internal event used to start a process at spawn time."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: int = 0) -> None:
-        super().__init__(sim)
-        self._trigger(True, None, delay)
-
-
 class Process(Event):
     """A running generator.  The process *is* an event: it triggers when
     the generator returns (success, value = return value) or raises
@@ -355,15 +355,18 @@ class Process(Event):
         self._generator = generator
         self._interrupted = False
         self._waiting_on: Optional[Event] = None
-        # Fused-sleep state: while the process sleeps via clock.after,
-        # its queue entry's seq is recorded here (no Event exists).
-        # Seqs of entries abandoned by interrupt() collect in
-        # _stale_seqs until the pop (or a reclaim sweep) drops them.
-        self._cont_seq = 0
+        # Fused-wait state: while the process sleeps via clock.after (or
+        # waits on anything else satisfied at once), its queue entry's
+        # seq is recorded here (no Event exists).  Seqs of entries
+        # abandoned by interrupt() collect in _stale_seqs until the pop
+        # (or a reclaim sweep) drops them.
         self._cont_value: Any = None
         self._stale_seqs: Optional[set] = None
-        start = Initialize(sim, delay)
-        start.callbacks.append(self._resume)
+        # The start is itself a fused wait: the first pop sends None
+        # into the fresh generator.
+        if delay < 0:
+            raise SchedulingError(f"cannot schedule {delay} ns in the past")
+        self._cont_seq = sim._insert(sim.now + delay, NORMAL, self)
 
     @property
     def alive(self) -> bool:
@@ -382,8 +385,11 @@ class Process(Event):
         """
         if not self.alive:
             raise ProcessError(f"cannot interrupt finished process {self.name}")
-        if self._interrupted or (self._waiting_on is None
-                                 and not self._cont_seq):
+        if (self._interrupted
+                or (self._waiting_on is None and not self._cont_seq)
+                or getgeneratorstate(self._generator) == GEN_CREATED):
+            # A process whose start entry has not popped yet is not
+            # waiting on anything either.
             raise ProcessError(
                 f"cannot interrupt {self.name}: it is not waiting")
         cont = self._cont_seq
@@ -492,8 +498,9 @@ class _Condition(Event):
             if not isinstance(event, Event):
                 raise ProcessError(
                     f"conditions require Event instances, got {event!r}; "
-                    "clock.after() handles must be yielded directly — "
-                    "use clock.timeout() for combinable sleeps")
+                    "clock.after() and immediately-satisfied "
+                    "request()/get()/put() handles must be yielded "
+                    "directly — use clock.timeout() for combinable sleeps")
             if event.sim is not sim:
                 raise ProcessError("condition mixes events from simulators")
         self._pending = sum(1 for e in self.events if not e.processed)

@@ -8,8 +8,13 @@ Three primitives cover every need in the reproduction:
   DMA engines and bus ownership.
 * :class:`Container` — a continuous level (bytes of buffer space, joules).
 
-All ``get``/``put``/``request`` operations return events, so processes wait
-with ``yield``:
+Processes yield every ``get``/``put``/``request`` result immediately and
+exactly once.  An operation that completes at once (a free slot, a ready
+item, room in the store) returns a fused ``sim.clock.after`` handle,
+which resumes the caller in the queue position an Event would have taken
+without allocating one; an operation that blocks returns an Event, and
+:class:`Container` always does.  To combine such a wait with other
+events, run it in a process and combine the process.
 
 >>> from repro.sim.engine import Simulator
 >>> sim = Simulator()
@@ -67,32 +72,40 @@ class Store:
         """True when a bounded store holds ``capacity`` items."""
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the returned event triggers when accepted.
+    def put(self, item: Any):
+        """Insert ``item``; the wait resumes with True once it is accepted.
 
-        For drop-mode stores the event always triggers immediately with
-        True (stored) or False (dropped).
+        An item handed to a waiting getter or stored in free room is
+        accepted at once (a fused handle); so is a drop-mode store's
+        put, which resumes with True (stored) or False (dropped).  Only
+        a put blocked on a full store returns an Event.
         """
-        event = Event(self.sim)
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            self._getters.popleft().succeed(item)
             self.total_put += 1
-            event.succeed(True)
-        elif not self.full:
+            return self.sim.clock.after(0, value=True)
+        if not self.full:
             self.items.append(item)
             self.total_put += 1
-            event.succeed(True)
-        elif self.drop_when_full:
+            return self.sim.clock.after(0, value=True)
+        if self.drop_when_full:
             self.dropped += 1
-            event.succeed(False)
-        else:
-            self._putters.append((event, item))
+            return self.sim.clock.after(0, value=False)
+        event = Event(self.sim)
+        self._putters.append((event, item))
         return event
 
-    def get(self) -> Event:
-        """Remove and return the oldest item (event value = item)."""
+    def get(self):
+        """Remove the oldest item; the wait resumes with it.
+
+        A ready item with no blocked putter is returned at once (a fused
+        handle).  Otherwise the result is an Event: a getter that blocks,
+        or a get that admits a blocked putter, whose wakeup is queued
+        behind this get's own.
+        """
+        if self.items and not self._putters:
+            return self.sim.clock.after(0, value=self.items.popleft())
         event = Event(self.sim)
         if self.items:
             event.succeed(self.items.popleft())
@@ -131,8 +144,9 @@ class Store:
 class Resource:
     """Counted semaphore with FIFO fairness.
 
-    ``request()`` returns an event that triggers when a slot is granted;
-    the holder must later call ``release()`` exactly once per grant.
+    ``request()`` waits for a slot; the holder must later call
+    ``release()`` exactly once per grant, or ``withdraw()`` the request
+    if it is interrupted before it can use the slot.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -151,14 +165,34 @@ class Resource:
         """Unclaimed slots."""
         return self.capacity - self.in_use
 
-    def request(self) -> Event:
-        """Event that triggers when a slot is granted (FIFO)."""
-        event = Event(self.sim)
+    def request(self):
+        """Wait for a slot (FIFO); the wait resumes with this resource.
+
+        A free slot is granted at once and the result is a fused handle;
+        otherwise it is an Event that triggers when :meth:`release`
+        hands a slot over.
+        """
         if self.in_use < self.capacity:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
+            if self.in_use == 0:
+                self._busy_since = self.sim.now
+            self.in_use += 1
+            return self.sim.clock.after(0, value=self)
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
+
+    def withdraw(self, request) -> None:
+        """Give up ``request`` (a :meth:`request` result) after an interrupt.
+
+        A request still queued leaves the queue; a slot already granted,
+        at once or handed over before the interrupt landed, is released.
+        Call it when an :class:`~repro.errors.InterruptError` arrives at
+        the ``yield`` of a request, so the slot cannot leak.
+        """
+        if isinstance(request, Event) and not request.triggered:
+            self._waiters.remove(request)
+        else:
+            self.release()
 
     def release(self) -> None:
         """Return a slot; the oldest waiter (if any) gets it directly."""
@@ -166,19 +200,12 @@ class Resource:
             raise SimulationError("release() without a matching request()")
         if self._waiters:
             # Hand the slot directly to the next waiter; in_use is unchanged.
-            self._grant(self._waiters.popleft(), already_counted=True)
+            self._waiters.popleft().succeed(self)
         else:
             self.in_use -= 1
             if self.in_use == 0 and self._busy_since is not None:
                 self.busy_time += self.sim.now - self._busy_since
                 self._busy_since = None
-
-    def _grant(self, event: Event, already_counted: bool = False) -> None:
-        if not already_counted:
-            if self.in_use == 0:
-                self._busy_since = self.sim.now
-            self.in_use += 1
-        event.succeed(self)
 
     def utilization(self, since: int = 0) -> float:
         """Fraction of wall time with at least one holder, from ``since``."""

@@ -139,7 +139,7 @@ class UserSpaceClient:
 
     def _drift_loop(self) -> Generator[Event, None, None]:
         while True:
-            yield self.testbed.sim.timeout(self.costs.drift_period_ns)
+            yield self.testbed.sim.clock.after(self.costs.drift_period_ns)
             self._drift = max(0.3, self.rng.gauss(1.0,
                                                   self.costs.drift_sigma))
 
@@ -482,7 +482,7 @@ class OffloadedClient:
         sim = self.testbed.sim
         try:
             while self.file.bytes_written > self.file.bytes_read:
-                yield sim.timeout(stream.interval_ns)
+                yield sim.clock.after(stream.interval_ns)
                 got = yield from self.file.Read(stream.chunk_bytes)
                 if got <= 0:
                     break

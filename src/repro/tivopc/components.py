@@ -469,7 +469,7 @@ class BroadcastOffcode(Offcode):
                 wait += abs(round(self.rng.gauss(
                     0, self.TIMER_JITTER_SIGMA_NS)))
             if wait > 0:
-                yield sim.timeout(wait)
+                yield sim.clock.after(wait)
             size = self.stream.chunk_bytes
             if self.file_offcode is not None:
                 yield from self.file_offcode.Read(size)

@@ -99,7 +99,7 @@ class PeriodicSampler:
     def process(self) -> Generator[Event, None, None]:
         """The sampling loop; spawn on the simulator for the run."""
         while True:
-            yield self.sim.timeout(self.period_ns)
+            yield self.sim.clock.after(self.period_ns)
             self.cpu_sampler.sample()
             if self.cache is not None:
                 pin = self.cache.stats_pin()

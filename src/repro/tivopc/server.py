@@ -160,7 +160,7 @@ class _HostServerBase:
         if cpu:
             yield from self.kernel.cpu.execute(cpu, context="server-app")
         if wait:
-            yield self.testbed.sim.timeout(wait)
+            yield self.testbed.sim.clock.after(wait)
 
     def _produce_chunk(self, size: int) -> Generator[Event, None, None]:
         raise NotImplementedError

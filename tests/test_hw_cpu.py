@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import HardwareError
+from repro.errors import HardwareError, InterruptError
 from repro.hw.cpu import Cpu, CpuSampler, CpuSpec
 from repro.sim import Simulator
 
@@ -141,3 +141,73 @@ def test_queue_depth():
     sim.run(until=50)
     assert cpu.busy
     assert cpu.queue_depth == 2
+
+
+def _interrupted_waiter(interrupt_at):
+    """A holder runs execute(100); a victim queues behind it and is
+    interrupted at ``interrupt_at`` (while queued, or at t=100 after the
+    slot was handed over but before its grant popped).  A third execute
+    spawned at t=500 must still get the CPU."""
+    sim = Simulator()
+    cpu = Cpu(sim)
+    done = []
+
+    def job(tag):
+        try:
+            yield from cpu.execute(10 if tag == "late" else 100)
+            done.append((tag, sim.now))
+        except InterruptError:
+            done.append((tag, "interrupted", sim.now))
+
+    sim.spawn(job("holder"))
+    victim = sim.spawn(job("victim"))
+
+    def interrupter():
+        # Two steps, so that at t=100 this entry queues behind the
+        # holder's: the holder hands the slot over first.
+        yield sim.clock.after(1)
+        yield sim.clock.after(interrupt_at - 1)
+        victim.interrupt("stop")
+
+    sim.spawn(interrupter())
+    sim.spawn(job("late"), delay=500)
+    sim.run()
+    return sim, cpu, done
+
+
+@pytest.mark.parametrize("interrupt_at", [50, 100])
+def test_interrupted_cpu_waiter_does_not_leak_the_slot(interrupt_at):
+    sim, cpu, done = _interrupted_waiter(interrupt_at)
+    assert sorted(done[:2], key=lambda entry: entry[0]) == [
+        ("holder", 100), ("victim", "interrupted", interrupt_at)]
+    assert done[2] == ("late", 510)
+    assert not cpu.busy
+    assert cpu.utilization() == pytest.approx(110 / 510)
+
+
+def test_cpu_job_interrupted_before_its_immediate_grant_releases_it():
+    sim = Simulator()
+    cpu = Cpu(sim)
+    started = sim.event()
+    done = []
+
+    def victim():
+        started.succeed()
+        try:
+            yield from cpu.execute(100)
+        except InterruptError:
+            done.append(("interrupted", sim.now))
+
+    proc = sim.spawn(victim())
+
+    def interrupter():
+        # Woken by `started`, whose entry is queued just ahead of the
+        # victim's grant: the slot is already counted when this lands.
+        yield started
+        proc.interrupt("stop")
+
+    sim.spawn(interrupter())
+    sim.run()
+    assert done == [("interrupted", 0)]
+    assert not cpu.busy
+    assert cpu.utilization() == 0.0
