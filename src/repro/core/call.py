@@ -268,17 +268,20 @@ class CallBatch:
 
 
 def make_call(sim: Simulator, interface: InterfaceSpec, method_name: str,
-              args: Tuple[Any, ...]) -> Call:
+              args: Tuple[Any, ...], encodes=None) -> Call:
     """Build a Call against ``interface``, validating the signature.
 
     This is the "manual invocation scheme" of Section 3.1 — proxies use
-    it under the hood for the transparent scheme.
+    it under the hood for the transparent scheme.  The encode is counted
+    in ``sim.metrics``; proxies pass their pre-bound ``encodes`` counter
+    (:func:`repro.core.marshal.counters`) to skip the registry lookup.
     """
     method: MethodSpec = interface.method(method_name)
     if len(args) != method.arity:
         raise InterfaceError(
             f"{interface.name}.{method_name} takes {method.arity} "
             f"argument(s), got {len(args)}")
+    (encodes or marshal.counters(sim.metrics)[0]).inc()
     encoded = marshal.encode(list(args))
     descriptor = None if method.one_way else ReturnDescriptor(sim)
     return Call(interface_guid=interface.guid, method=method_name,

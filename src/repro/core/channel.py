@@ -27,7 +27,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generator, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import (AdmissionShedError, ChannelClosedError,
                           ChannelError)
@@ -40,7 +41,7 @@ from repro.sim.trace import emit as trace_emit
 __all__ = ["ChannelKind", "Reliability", "SyncMode", "Buffering",
            "BatchConfig", "ChannelConfig", "ChannelStats",
            "CorruptedPayload", "Message", "SequencedMessage",
-           "RetransmitConfig", "Endpoint", "Channel"]
+           "RetransmitConfig", "Endpoint", "Channel", "conservation"]
 
 
 class ChannelKind(enum.Enum):
@@ -514,33 +515,60 @@ class Endpoint:
             original.deliver_error(local.event._value)
 
 
+# Help of the counter behind each ChannelStats count, in field order;
+# exported as ``repro_channel_<field>_total``.
+_METRIC_LABELS = ("runtime", "channel", "label")
+_HELP = {
+    "sent": "Messages sent (wire attempts)",
+    "delivered": "Messages delivered to receivers",
+    "dropped": "Messages lost, mangled or duplicate-suppressed in flight",
+    "corrupted": "Messages corrupted in flight",
+    "bytes": "Payload bytes sent",
+    "batches": "Vectored batches sent",
+    "retransmits": "Reliable-protocol retransmissions",
+    "dup_dropped": "Duplicate frames suppressed by the receiver",
+}
+
+
 class Channel:
     """A configured pathway between two or more endpoints.
 
     Channels are produced by the Channel Executive; user code receives
     the creator-side :class:`Endpoint` and calls ``ConnectOffcode``-style
     attachment through the executive (which builds the remote endpoint
-    and notifies the Offcode over its OOB channel).
+    and notifies the Offcode over its OOB channel).  Delivery counts
+    live in ``sim.metrics``, labelled with the owning ``runtime``'s
+    name, the channel id and the config label.
     """
 
     def __init__(self, config: ChannelConfig, provider,
-                 creator_site: ExecutionSite, channel_id: int) -> None:
+                 creator_site: ExecutionSite, channel_id: int,
+                 runtime: str = "") -> None:
         self.config = config
         self.provider = provider
         self.channel_id = channel_id
         self.endpoints: List[Endpoint] = [Endpoint(self, creator_site)]
         self.closed = False
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.drops = 0
-        self.delivered = 0
-        self.corrupted = 0
-        self.batches_sent = 0
+        metrics = creator_site.sim.metrics
+        labels = {"runtime": runtime, "channel": str(channel_id),
+                  "label": config.label}
+        self._counters = [
+            metrics.counter(f"repro_channel_{name}_total", help=text,
+                            labels=_METRIC_LABELS).own(**labels)
+            for name, text in _HELP.items()]
+        (self._sent, self._delivered, self._dropped, self._corrupted,
+         self._bytes, self._batches, self._retransmits,
+         self._dup_dropped) = self._counters
+        # Refreshed from the conservation law at snapshot time (see
+        # HydraRuntime); in-flight frames keep it non-zero.
+        self.imbalance_gauge = metrics.gauge(
+            "repro_channel_conservation_imbalance",
+            help="sent - (delivered + dropped); in-flight frames on "
+                 "unreliable or multicast channels keep this non-zero",
+            labels=_METRIC_LABELS).own(**labels)
         # Adaptive coalescer, attached by the Channel Executive when the
         # config carries a BatchConfig (None = classic per-message path).
         self.batcher = None
-        self.retransmits = 0
-        self.dup_dropped = 0
         # Telemetry track name: labelled channels get their label, the
         # rest group by id (one Perfetto track per channel either way).
         self.telemetry_track = (f"channel:{config.label}" if config.label
@@ -560,6 +588,20 @@ class Channel:
         self._sequencer: Optional[Resource] = (
             Resource(creator_site.sim, capacity=1)
             if config.sync is SyncMode.SEQUENTIAL else None)
+
+    messages_sent = property(attrgetter("_sent.value"), doc=_HELP["sent"])
+    delivered = property(attrgetter("_delivered.value"),
+                         doc=_HELP["delivered"])
+    drops = property(attrgetter("_dropped.value"), doc=_HELP["dropped"])
+    corrupted = property(attrgetter("_corrupted.value"),
+                         doc=_HELP["corrupted"])
+    bytes_sent = property(attrgetter("_bytes.value"), doc=_HELP["bytes"])
+    batches_sent = property(attrgetter("_batches.value"),
+                            doc=_HELP["batches"])
+    retransmits = property(attrgetter("_retransmits.value"),
+                           doc=_HELP["retransmits"])
+    dup_dropped = property(attrgetter("_dup_dropped.value"),
+                           doc=_HELP["dup_dropped"])
 
     # -- topology --------------------------------------------------------------------
 
@@ -636,12 +678,13 @@ class Channel:
 
     def stats(self) -> ChannelStats:
         """Current :class:`ChannelStats` snapshot for this channel."""
-        return ChannelStats(
-            channel_id=self.channel_id, label=self.config.label,
-            sent=self.messages_sent, delivered=self.delivered,
-            dropped=self.drops, corrupted=self.corrupted,
-            bytes=self.bytes_sent, batches=self.batches_sent,
-            retransmits=self.retransmits, dup_dropped=self.dup_dropped)
+        return ChannelStats(self.channel_id, self.config.label,
+                            *(counter.value for counter in self._counters))
+
+    def count_dropped(self, count: int) -> None:
+        """Charge ``count`` messages lost before reaching the wire (a
+        batch that exhausted its retry budget)."""
+        self._dropped.inc(count)
 
     def _check_open(self) -> None:
         if self.closed:
@@ -683,8 +726,8 @@ class Channel:
                 if self._sequencer is not None:
                     self._sequencer.release()
             source.messages_out += 1
-            self.messages_sent += 1
-            self.bytes_sent += size_bytes
+            self._sent.inc()
+            self._bytes.inc(size_bytes)
             trace_emit(sim, "channel",
                        f"#{self.channel_id} {source.site.name} -> "
                        f"{','.join(d.site.name for d in destinations)}",
@@ -694,7 +737,7 @@ class Channel:
                 if verdict == "drop":
                     # Lost on the wire *after* occupying it: cost paid,
                     # no data.
-                    self.drops += 1
+                    self._dropped.inc()
                     trace_emit(sim, "fault",
                                f"#{self.channel_id} message dropped in "
                                "flight",
@@ -702,7 +745,7 @@ class Channel:
                                label=self.config.label)
                     return
                 if verdict == "corrupt":
-                    self.corrupted += 1
+                    self._corrupted.inc()
                     trace_emit(sim, "fault",
                                f"#{self.channel_id} message corrupted in "
                                "flight",
@@ -718,9 +761,9 @@ class Channel:
                 yield from destination._deliver(message)
                 delta = destination.rx.dropped - dropped_before
                 if delta > 0:
-                    self.drops += delta
+                    self._dropped.inc(delta)
                 else:
-                    self.delivered += 1
+                    self._delivered.inc()
         finally:
             if span is not None:
                 tel.pop_ctx(token)
@@ -852,10 +895,10 @@ class Channel:
                 self._check_open()
                 yield from self.provider.transfer(self, source, destinations,
                                                   size_bytes)
-                self.messages_sent += 1
-                self.bytes_sent += size_bytes
+                self._sent.inc()
+                self._bytes.inc(size_bytes)
                 if attempt > 1:
-                    self.retransmits += 1
+                    self._retransmits.inc()
                     trace_emit(sim, "channel",
                                f"#{self.channel_id} retransmit seq={seq} "
                                f"attempt={attempt}",
@@ -864,7 +907,7 @@ class Channel:
             verdict = (self._fault_filter(message)
                        if self._fault_filter is not None else None)
             if verdict == "drop":
-                self.drops += 1
+                self._dropped.inc()
                 trace_emit(sim, "fault",
                            f"#{self.channel_id} seq={seq} dropped in "
                            "flight; will retransmit",
@@ -874,8 +917,8 @@ class Channel:
             if verdict == "corrupt":
                 # The receiver's checksum rejects the mangled frame: it
                 # never surfaces; to the protocol this is another loss.
-                self.corrupted += 1
-                self.drops += 1
+                self._corrupted.inc()
+                self._dropped.inc()
                 trace_emit(sim, "fault",
                            f"#{self.channel_id} seq={seq} corrupted in "
                            "flight; checksum reject, will retransmit",
@@ -884,8 +927,8 @@ class Channel:
                 continue
             # The frame arrived intact.
             if seq <= rel.contiguous or seq in rel.seen:
-                self.dup_dropped += 1
-                self.drops += 1
+                self._dup_dropped.inc()
+                self._dropped.inc()
                 trace_emit(sim, "channel",
                            f"#{self.channel_id} duplicate seq={seq} "
                            "suppressed; re-acking",
@@ -897,7 +940,7 @@ class Channel:
                     rel.seen.discard(rel.contiguous)
                 for destination in destinations:
                     yield from destination._deliver(message)
-                self.delivered += 1
+                self._delivered.inc()
             acked = yield from self._reverse_ack(source, destinations)
             if acked:
                 for done in [s for s in rel.unacked
@@ -954,9 +997,9 @@ class Channel:
             yield from self.provider.transfer_vectored(
                 self, source, destinations, batch)
             source.messages_out += batch.count
-            self.messages_sent += batch.count
-            self.batches_sent += 1
-            self.bytes_sent += batch.size_bytes
+            self._sent.inc(batch.count)
+            self._batches.inc()
+            self._bytes.inc(batch.size_bytes)
             trace_emit(source.site.sim, "channel",
                        f"#{self.channel_id} {source.site.name} => "
                        f"{','.join(d.site.name for d in destinations)} "
@@ -1019,9 +1062,9 @@ class Channel:
                 if self._sequencer is not None:
                     self._sequencer.release()
             source.messages_out += batch.count
-            self.messages_sent += batch.count
-            self.batches_sent += 1
-            self.bytes_sent += batch.size_bytes
+            self._sent.inc(batch.count)
+            self._batches.inc()
+            self._bytes.inc(batch.size_bytes)
             trace_emit(source.site.sim, "channel",
                        f"#{self.channel_id} {source.site.name} => "
                        f"{','.join(d.site.name for d in destinations)} "
@@ -1035,7 +1078,7 @@ class Channel:
                 if self._fault_filter is not None:
                     verdict = self._fault_filter(message)
                     if verdict == "drop":
-                        self.drops += 1
+                        self._dropped.inc()
                         trace_emit(source.site.sim, "fault",
                                    f"#{self.channel_id} batched message "
                                    "dropped in flight",
@@ -1043,7 +1086,7 @@ class Channel:
                                    label=self.config.label)
                         continue
                     if verdict == "corrupt":
-                        self.corrupted += 1
+                        self._corrupted.inc()
                         message = Message(
                             payload=CorruptedPayload(message.payload),
                             size_bytes=message.size_bytes,
@@ -1054,9 +1097,9 @@ class Channel:
                     yield from destination._deliver(message)
                     delta = destination.rx.dropped - dropped_before
                     if delta > 0:
-                        self.drops += delta
+                        self._dropped.inc(delta)
                     else:
-                        self.delivered += 1
+                        self._delivered.inc()
         finally:
             if span is not None:
                 tel.pop_ctx(token)
@@ -1103,3 +1146,34 @@ class Channel:
         return (f"<Channel #{self.channel_id} {kind} "
                 f"provider={getattr(self.provider, 'name', '?')} "
                 f"endpoints={len(self.endpoints)}>")
+
+
+def conservation(channels: Iterable[Channel]
+                 ) -> Tuple[List[int], List[str]]:
+    """The channel conservation law, evaluated over ``channels``.
+
+    Returns each channel's imbalance ``sent - (delivered + dropped)``
+    (the exported gauge) and the violations (empty = law holds): on
+    every noise-armed reliable channel the imbalance must be 0, with one
+    frame of slack once closed, and the drop breakdown must fit inside
+    the drops.  Elsewhere in-flight frames keep the imbalance non-zero.
+    """
+    imbalances: List[int] = []
+    violations: List[str] = []
+    for channel in channels:
+        stats = channel.stats()
+        imbalance = stats.sent - (stats.delivered + stats.dropped)
+        imbalances.append(imbalance)
+        if channel._rel is None:
+            continue
+        slack = 1 if channel.closed else 0
+        if not 0 <= imbalance <= slack:
+            violations.append(
+                f"channel #{stats.channel_id} ({stats.label!r}) leaks "
+                f"accounting: sent={stats.sent} "
+                f"delivered={stats.delivered} dropped={stats.dropped}")
+        if stats.corrupted + stats.dup_dropped > stats.dropped:
+            violations.append(
+                f"channel #{stats.channel_id} ({stats.label!r}) drop "
+                "breakdown exceeds total drops")
+    return imbalances, violations

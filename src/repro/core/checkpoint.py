@@ -138,6 +138,7 @@ def capture_checkpoint(runtime, offcode: Offcode,
     store: CheckpointStore = runtime.depot.checkpoints
     latest = store.latest(offcode.bindname)
     seq = (latest.seq if latest is not None else 0) + 1
+    marshal.counters(runtime.sim.metrics)[0].inc()
     try:
         size = config.header_bytes + len(marshal.encode(state))
     except Exception:
@@ -161,6 +162,7 @@ class CheckpointService:
         self.stray_messages: List[Any] = []
         self._seqs: Dict[str, int] = {}
         self._process = None
+        self._encodes = marshal.counters(runtime.sim.metrics)[0]
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -203,6 +205,7 @@ class CheckpointService:
                 return
             seq = self._seqs.get(offcode.bindname, 0) + 1
             self._seqs[offcode.bindname] = seq
+            self._encodes.inc()
             try:
                 size = self.config.header_bytes + len(marshal.encode(state))
             except Exception:

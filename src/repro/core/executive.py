@@ -231,7 +231,7 @@ class ChannelBatcher:
                     # re-checked above before the next attempt goes out.
                     if (self.policy is None
                             or attempt >= self.policy.max_attempts):
-                        self.channel.drops += batch.count
+                        self.channel.count_dropped(batch.count)
                         raise RetryBudgetExceededError(
                             f"batch flush on channel "
                             f"#{self.channel.channel_id} failed after "
@@ -266,9 +266,14 @@ class ChannelBatcher:
 
 
 class ChannelExecutive:
-    """Provider registry + channel factory for one runtime."""
+    """Provider registry + channel factory for one runtime.
 
-    def __init__(self) -> None:
+    ``name`` is the owning runtime's; it labels the metrics of every
+    channel this executive creates.
+    """
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
         self._providers: List[ChannelProvider] = []
         self._ids = itertools.count(1)
         self.channels: List[Channel] = []
@@ -360,7 +365,7 @@ class ChannelExecutive:
         :class:`ChannelBatcher` attached here."""
         channel = Channel(config=config, provider=None,
                           creator_site=creator_site,
-                          channel_id=next(self._ids))
+                          channel_id=next(self._ids), runtime=self.name)
         if config.batch is not None:
             channel.batcher = ChannelBatcher(channel, creator_site.sim,
                                              config.batch)

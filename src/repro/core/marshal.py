@@ -18,27 +18,29 @@ from typing import Any, List, Tuple
 
 from repro.errors import MarshalError
 
-__all__ = ["encode", "decode", "encoded_size", "stats"]
+__all__ = ["encode", "decode", "encoded_size", "counters"]
 
 
-class _MarshalStats:
-    """Process-wide encoder counters.
+def counters(metrics) -> Tuple[Any, Any]:
+    """The ``(encodes, decodes)`` counters in one simulator's registry.
 
-    ``encodes`` counts full serializations.  Retried proxy calls and
-    replayed batch entries must reuse their cached bytes, so tests pin
-    the expected delta of this counter across those paths.  ``decodes``
-    counts deserializations; both export through the telemetry registry
-    (:func:`repro.telemetry.adapters.bind_marshal`) as bind-time deltas.
+    ``encode``/``decode`` are pure; the callers that own a simulator
+    (proxies, offcodes, :func:`~repro.core.call.make_call`, the
+    checkpoint service) bind these once and bump them, so each run
+    counts only its own work.  ``encodes`` counts full serializations:
+    retried proxy calls and replayed batch entries reuse their cached
+    bytes, and tests pin the expected delta across those paths.  The
+    help texts are part of the exported snapshot the golden test pins.
     """
+    return (metrics.counter(
+                "repro_marshal_encodes_total",
+                help="Full argument serializations since telemetry bind"
+            ).labels(),
+            metrics.counter(
+                "repro_marshal_decodes_total",
+                help="Argument deserializations since telemetry bind"
+            ).labels())
 
-    __slots__ = ("encodes", "decodes")
-
-    def __init__(self) -> None:
-        self.encodes = 0
-        self.decodes = 0
-
-
-stats = _MarshalStats()
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -55,7 +57,6 @@ _MAX_DEPTH = 32
 
 def encode(value: Any) -> bytes:
     """Serialize ``value`` to bytes.  Raises MarshalError on bad types."""
-    stats.encodes += 1
     out: List[bytes] = []
     _encode_into(value, out, depth=0)
     return b"".join(out)
@@ -106,7 +107,6 @@ def _encode_into(value: Any, out: List[bytes], depth: int) -> None:
 
 def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`."""
-    stats.decodes += 1
     value, offset = _decode_at(data, 0, depth=0)
     if offset != len(data):
         raise MarshalError(

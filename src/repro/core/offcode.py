@@ -75,6 +75,7 @@ class Offcode:
         self.management_events: List[Any] = []
         self._main_process: Optional[Process] = None
         self.calls_handled = 0
+        self._encodes, self._decodes = marshal.counters(site.sim.metrics)
 
     # -- identity -----------------------------------------------------------------
 
@@ -277,6 +278,7 @@ class Offcode:
         yield from self.site.execute(
             self.DISPATCH_COST_NS, context=f"{self.bindname}-dispatch")
         try:
+            self._decodes.inc()
             result = target(*call.args())
             if hasattr(result, "send") and hasattr(result, "throw"):
                 result = yield from result
@@ -290,6 +292,7 @@ class Offcode:
         if call.return_descriptor is not None:
             if method_spec.result == "none":
                 result = None
+            self._encodes.inc()
             call.return_descriptor.deliver(marshal.encode(result))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -423,9 +423,8 @@ class PeerDmaProvider(ChannelProvider):
             # The batch is already one contiguous chained list, so the
             # hardware-multicast transaction carries it whole.
             yield from src_dev.bus.multicast_transfer(
-                src_dev.name, dst_names, batch.size_bytes)
-            src_dev.bus.sg_transfers += 1
-            src_dev.bus.sg_entries += len(sizes)
+                src_dev.name, dst_names, batch.size_bytes,
+                entries=len(sizes))
         else:
             for name in dst_names:
                 yield from src_dev.dma_to_peer_vectored(name, sizes)

@@ -63,6 +63,8 @@ class Proxy:
         self.policy = policy
         self.invocations = 0
         self.timeouts = 0
+        self._encodes, self._decodes = marshal.counters(
+            endpoint.site.sim.metrics)
         # Migration fence: while a HoldingGate is installed, invoke()
         # parks here before touching the channel (the runtime swaps the
         # channel out underneath the gate during a live migration).
@@ -98,7 +100,8 @@ class Proxy:
             result = yield from self._invoke_with_policy(method_name, args)
             return result
         sim = self.endpoint.site.sim
-        call = make_call(sim, self.interface, method_name, args)
+        call = make_call(sim, self.interface, method_name, args,
+                         encodes=self._encodes)
         tel = sim.telemetry
         root = None
         if tel is not None:
@@ -125,7 +128,7 @@ class Proxy:
         self.invocations += 1
         if call.one_way:
             return None
-        return marshal.decode(encoded)
+        return self._decode(encoded)
 
     def _invoke_with_policy(self, method_name: str, args: tuple
                             ) -> Generator[Event, None, Any]:
@@ -135,7 +138,8 @@ class Proxy:
         # retried attempts need a fresh Call (return descriptors are
         # one-shot) but reissue() reuses the cached encoded bytes, so a
         # retry pays only the fixed header cost, not the per-byte encode.
-        call = make_call(sim, self.interface, method_name, args)
+        call = make_call(sim, self.interface, method_name, args,
+                         encodes=self._encodes)
         tel = sim.telemetry
         root = None
         if tel is not None:
@@ -189,7 +193,7 @@ class Proxy:
                 status, value = outcome["result"]
                 if status == "ok":
                     self.invocations += 1
-                    return None if call.one_way else marshal.decode(value)
+                    return None if call.one_way else self._decode(value)
                 # Non-timeout failures (remote exception, dead device,
                 # closed channel) are not retried — the caller must react.
                 raise value
@@ -216,7 +220,11 @@ class Proxy:
         """Manual scheme: send a pre-built Call object."""
         encoded = yield from self.channel.send_call(self.endpoint, call)
         self.invocations += 1
-        return None if call.one_way else marshal.decode(encoded)
+        return None if call.one_way else self._decode(encoded)
+
+    def _decode(self, encoded: bytes) -> Any:
+        self._decodes.inc()
+        return marshal.decode(encoded)
 
     def __getattr__(self, name: str) -> _BoundMethod:
         # Only interface methods resolve; anything else is a real miss.

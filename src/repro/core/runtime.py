@@ -31,7 +31,8 @@ from typing import (Callable, Dict, Generator, Iterable, List, Optional,
 
 from repro.errors import (DeploymentError, HydraError, MigrationError,
                           OffcodeError)
-from repro.core.channel import Channel, ChannelConfig, ChannelStats
+from repro.core.channel import (Channel, ChannelConfig, ChannelStats,
+                                conservation)
 from repro.core.checkpoint import (CheckpointConfig, CheckpointService,
                                    capture_checkpoint, checkpointable)
 from repro.core.deployment import DeploymentPipeline, DeploymentReport
@@ -195,6 +196,98 @@ class DeploymentResult:
         return self.offcode.location
 
 
+class RuntimeMetrics:
+    """The metric families one runtime exports, labelled ``runtime``.
+
+    Declared when the runtime is built, so a run whose watchdog or
+    supervisor was never armed still exports their (empty) families;
+    those parts bind their own label children when armed.
+    :meth:`collect` refreshes, at snapshot time, the values derived from
+    the runtime's logs: the channel conservation law, incidents and
+    migrations by outcome, quarantined devices and admission shedding.
+    """
+
+    def __init__(self, registry, name: str) -> None:
+        self.name = name
+
+        def family(kind: str, metric: str, text: str, *labels: str):
+            return getattr(registry, kind)(metric, help=text,
+                                           labels=("runtime",) + labels)
+
+        def mine(kind: str, metric: str, text: str):
+            return family(kind, metric, text).own(runtime=name)
+
+        self.violations = mine(
+            "gauge", "repro_channel_conservation_violations",
+            "Rel-armed channels violating the conservation law")
+        self.incidents = family(
+            "gauge", "repro_recovery_incidents",
+            "Device-failure incidents by outcome", "state")
+        self.replayed = mine(
+            "counter", "repro_recovery_replayed_total",
+            "Unacked messages replayed on replacement channels")
+        self.watchdog_beats = family(
+            "counter", "repro_watchdog_beats_total",
+            "Completed heartbeat rounds", "device")
+        self.watchdog_missed = family(
+            "gauge", "repro_watchdog_missed_beats",
+            "Consecutive missed heartbeats (0 = healthy)", "device")
+        self.migrations = family(
+            "gauge", "repro_migrations",
+            "Live offcode migrations by outcome", "state")
+        self.migration_replayed = mine(
+            "counter", "repro_migration_replayed_total",
+            "Unacked messages replayed during migration cutovers")
+        self.migration_shed = mine(
+            "counter", "repro_migration_shed_total",
+            "Calls shed at migration holding gates (queue overflow)")
+        self.quarantined = mine(
+            "gauge", "repro_quarantined_devices",
+            "Devices currently quarantined by the supervisor")
+        self.supervisor_decisions = family(
+            "counter", "repro_supervisor_decisions_total",
+            "Supervisor policy decisions by action", "action")
+        self._admission_shed = family(
+            "counter", "repro_admission_shed_total",
+            "Calls shed by admission control, by channel priority",
+            "priority")
+        self._shed_by_priority: Dict[int, object] = {}
+        self.admission_engaged = mine(
+            "gauge", "repro_admission_engaged",
+            "1 while priority-aware load shedding is engaged")
+
+    def collect(self, runtime: "HydraRuntime") -> None:
+        """Refresh the log-derived values from ``runtime``."""
+        channels = runtime.executive.channels
+        imbalances, violations = conservation(channels)
+        for channel, imbalance in zip(channels, imbalances):
+            channel.imbalance_gauge.set(imbalance)
+        self.violations.set(len(violations))
+        for family, records, done in (
+                (self.incidents, runtime.incidents, "recovered"),
+                (self.migrations, runtime.migrations, "completed")):
+            counts = dict.fromkeys((done, "failed", "pending"), 0)
+            for record in records:
+                counts[done if getattr(record, done) else
+                       "failed" if record.failed else "pending"] += 1
+            for state, count in counts.items():
+                family.labels(runtime=self.name, state=state).set(count)
+        self.replayed.set_total(sum(i.replayed for i in runtime.incidents))
+        self.migration_replayed.set_total(
+            sum(record.replayed for record in runtime.migrations))
+        self.migration_shed.set_total(
+            sum(record.shed for record in runtime.migrations))
+        self.quarantined.set(len(runtime.quarantined_devices))
+        if runtime.supervisor is not None:
+            admission = runtime.supervisor.admission
+            for priority, count in admission.shed_by_priority.items():
+                if priority not in self._shed_by_priority:
+                    self._shed_by_priority[priority] = self._admission_shed \
+                        .own(runtime=self.name, priority=priority)
+                self._shed_by_priority[priority].set_total(count)
+            self.admission_engaged.set(1 if admission.engaged else 0)
+
+
 class HydraRuntime:
     """The per-host runtime instance."""
 
@@ -211,7 +304,7 @@ class HydraRuntime:
         self.memory = MemoryManager(machine)
         self.resources = ResourceTree(f"hydra@{machine.name}")
         self.loaders = LoaderRegistry()
-        self.executive = ChannelExecutive()
+        self.executive = ChannelExecutive(machine.name)
         self.pipeline = DeploymentPipeline(self)
         self.resolver = OffloadLayoutResolver(machine, self.depot,
                                               solver=solver)
@@ -234,6 +327,9 @@ class HydraRuntime:
         self.supervisor: Optional[Supervisor] = None
         self.incidents: List[RecoveryIncident] = []
         self.migrations: List[MigrationRecord] = []
+        self.metrics = RuntimeMetrics(self.sim.metrics, machine.name)
+        self.sim.metrics.register_collector(
+            lambda _registry: self.metrics.collect(self))
         self._recovery_hooks: List[Callable] = []
         # Live proxies by bindname, so a migration can fence and rebind
         # them in place (callers keep their Proxy object across cutover).

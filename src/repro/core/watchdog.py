@@ -62,13 +62,14 @@ class WatchdogConfig:
 class _DeviceWatch:
     """Per-device heartbeat state (host side)."""
 
-    def __init__(self, name: str, channel, host_ep: Endpoint) -> None:
+    def __init__(self, name: str, channel, host_ep: Endpoint, beats,
+                 missed) -> None:
         self.name = name
         self.channel = channel
         self.host_ep = host_ep
         self.seq = 0
-        self.beats = 0
-        self.missed = 0
+        self.beats = beats              # counter: completed rounds
+        self.missed = missed            # gauge: consecutive misses
         self.last_pong_seq = 0
         self.status = "alive"            # alive | suspect | dead
         # (at_ns, status) appended on every *change* — never on a repeat,
@@ -108,7 +109,12 @@ class DeviceWatchdog:
             device_ep.install_call_handler(
                 lambda message, ep=device_ep, site=device_runtime.site:
                 self._pong(ep, site, message))
-            watch = _DeviceWatch(name, channel, channel.creator_endpoint)
+            metrics = self.runtime.metrics
+            labels = {"runtime": metrics.name, "device": name}
+            watch = _DeviceWatch(
+                name, channel, channel.creator_endpoint,
+                beats=metrics.watchdog_beats.own(**labels),
+                missed=metrics.watchdog_missed.own(**labels))
             self._watches[name] = watch
             self.sim.spawn(self._collect(watch), name=f"wd-collect-{name}")
             self.sim.spawn(self._monitor(watch), name=f"wd-monitor-{name}")
@@ -129,7 +135,7 @@ class DeviceWatchdog:
 
     def beats_of(self, device: str) -> int:
         """Completed ping/pong rounds for one device."""
-        return self._watch(device).beats
+        return self._watch(device).beats.value
 
     def declared_dead_at(self, device: str) -> Optional[int]:
         """Sim time the device was declared dead, or None."""
@@ -215,34 +221,34 @@ class DeviceWatchdog:
             yield self.sim.any_of(
                 [round_waiter, self.sim.timeout(cfg.deadline_ns)])
             if round_waiter.triggered:
-                watch.beats += 1
-                if watch.missed:
+                watch.beats.inc()
+                if watch.missed.value:
                     trace_emit(self.sim, "fault",
                                f"watchdog: {watch.name} recovered after "
-                               f"{watch.missed} missed beat(s)",
+                               f"{watch.missed.value} missed beat(s)",
                                device=watch.name)
-                watch.missed = 0
+                watch.missed.set(0)
                 self._set_status(watch, "alive")
                 continue
             watch.waiter = None
             if isinstance(outcome.get("error"), DeviceFailedError):
                 self._declare_dead(watch, "crash detected")
                 return
-            watch.missed += 1
+            watch.missed.inc()
+            missed = watch.missed.value
             self._set_status(watch, "suspect")
             tel = self.sim.telemetry
             if tel is not None:
                 tel.instant("watchdog.miss", "watchdog",
                             f"watchdog:{watch.name}", device=watch.name,
-                            missed=watch.missed,
-                            threshold=cfg.miss_threshold)
+                            missed=missed, threshold=cfg.miss_threshold)
             trace_emit(self.sim, "fault",
                        f"watchdog: {watch.name} missed beat "
-                       f"{watch.missed}/{cfg.miss_threshold}",
-                       device=watch.name, missed=watch.missed)
-            if watch.missed >= cfg.miss_threshold:
+                       f"{missed}/{cfg.miss_threshold}",
+                       device=watch.name, missed=missed)
+            if missed >= cfg.miss_threshold:
                 self._declare_dead(
-                    watch, f"{watch.missed} consecutive missed beats")
+                    watch, f"{missed} consecutive missed beats")
                 return
 
     def _declare_dead(self, watch: _DeviceWatch, reason: str) -> None:

@@ -46,6 +46,11 @@ class FaultInjector:
         self.rng = rng or random.Random(0)
         self.applied: List[FaultEvent] = []
         self.skipped: List[FaultEvent] = []
+        outcomes = sim.metrics.counter(
+            "repro_faults_total", help="Scheduled fault events by outcome",
+            labels=("outcome",))
+        self._applied_total = outcomes.own(outcome="applied")
+        self._skipped_total = outcomes.own(outcome="skipped")
         self._process = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -64,6 +69,7 @@ class FaultInjector:
             try:
                 self._apply(event)
                 self.applied.append(event)
+                self._applied_total.inc()
                 tel = self.sim.telemetry
                 if tel is not None:
                     tel.instant(f"fault.{event.kind.value}", "fault",
@@ -71,6 +77,7 @@ class FaultInjector:
                                 target=event.target)
             except Exception as exc:
                 self.skipped.append(event)
+                self._skipped_total.inc()
                 trace_emit(self.sim, "fault",
                            f"injector could not apply {event.kind.value} "
                            f"on {event.target!r}: {exc!r}",

@@ -14,12 +14,14 @@ chosen to minimise them (Section 6.3).  Two properties matter:
 
 All transfers are recorded per (source, destination) endpoint pair, so
 experiments can count crossings and measure the bus bandwidth actually
-consumed (the *Maximize Bus Usage* objective of Section 5).
+consumed (the *Maximize Bus Usage* objective of Section 5).  Totals are
+counters in ``sim.metrics`` under the bus's ``name`` label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro import units
@@ -55,6 +57,13 @@ class BusSpec:
                        arbitration_ns=500, peer_to_peer=False)
 
 
+# Help of each counter a bus exports as ``repro_bus_<name>_total``.
+_HELP = {"bytes_moved": "Bytes moved over the bus",
+         "transfers": "Completed bus transactions",
+         "sg_transfers": "Scatter-gather transactions",
+         "transient_faults": "Injected transient faults replayed on the bus"}
+
+
 @dataclass
 class TransferRecord:
     """One completed bus transaction."""
@@ -70,27 +79,37 @@ class TransferRecord:
 class Bus:
     """A shared interconnect segment between host memory and devices."""
 
-    def __init__(self, sim: Simulator, spec: Optional[BusSpec] = None) -> None:
+    def __init__(self, sim: Simulator, spec: Optional[BusSpec] = None,
+                 name: Optional[str] = None) -> None:
         self.sim = sim
         self.spec = spec or BusSpec()
+        # Machines name their bus after themselves: their specs are all
+        # "pcie", and metrics and traces must tell the buses apart.
+        self.name = name or self.spec.name
+        self.telemetry_track = f"bus:{self.name}"
         self._arbiter = Resource(sim, capacity=1)
         self._endpoints: Dict[str, object] = {HOST_MEMORY: None}
         self.transfers: List[TransferRecord] = []
-        self.bytes_moved = 0
         self.crossings: Dict[Tuple[str, str], int] = {}
-        # Scatter-gather accounting: vectored transfers move several
-        # logical messages in one transaction; these counters let the
-        # batching benchmark report amortization directly.
-        self.sg_transfers = 0
+        (self._bytes, self._transactions, self._sg_transfers,
+         self._transients) = [
+            sim.metrics.counter(f"repro_bus_{total}_total", help=text,
+                                labels=("bus",)).own(bus=self.name)
+            for total, text in _HELP.items()]
+        # Logical messages moved by scatter-gather transactions (the
+        # batching benchmark's amortization figure).
         self.sg_entries = 0
         self.record_log = False   # keep full TransferRecord list (tests/debug)
         # Fault injection: each pending transient corrupts one transaction,
         # which the link layer detects and replays (one extra serialization).
         self._pending_transients = 0
-        self.transient_faults = 0
-        # Telemetry track; Machine overrides with its own name so the
-        # per-machine buses (all named "pcie") stay distinguishable.
-        self.telemetry_track = f"bus:{self.spec.name}"
+
+    bytes_moved = property(attrgetter("_bytes.value"),
+                           doc="Bytes moved over the bus so far.")
+    sg_transfers = property(attrgetter("_sg_transfers.value"),
+                            doc="Transactions carrying a scatter-gather list.")
+    transient_faults = property(attrgetter("_transients.value"),
+                                doc="Injected transients replayed so far.")
 
     # -- topology ------------------------------------------------------------
 
@@ -164,33 +183,40 @@ class Bus:
         """
         if not sizes:
             raise BusError("scatter transfer requires at least one entry")
-        total = sum(sizes)
-        count = yield from self.transfer(src, dst, total)
-        self.sg_transfers += count
+        count = yield from self.transfer(src, dst, sum(sizes))
+        self._sg_transfers.inc(count)
         self.sg_entries += len(sizes)
         return count
 
-    def multicast_transfer(self, src: str, dsts: List[str], size_bytes: int
-                           ) -> Generator[Event, None, int]:
+    def multicast_transfer(self, src: str, dsts: List[str], size_bytes: int,
+                           entries: int = 0) -> Generator[Event, None, int]:
         """Move one payload to several destinations.
 
         On a peer-to-peer bus this is a *single* transaction (the paper's
         PCIe footnote: a packet can reach both the GPU and the disk
-        controller at once); otherwise one transaction per destination.
+        controller at once); otherwise one transaction per destination
+        (two when a device-to-device copy stages through host memory).
+        A chained list of ``entries`` messages counts as scatter-gather
+        like :meth:`transfer_scatter`.  Returns the number of bus
+        transactions performed.
         """
         if not dsts:
             raise BusError("multicast requires at least one destination")
         for dst in dsts:
             self._check(src, dst, size_bytes)
+        count = 0
         if self.spec.peer_to_peer:
             yield from self._single_transfer(src, dsts[0], size_bytes,
                                              multicast=True)
             for dst in dsts:
                 self._count(src, dst)
-            return 1
-        count = 0
-        for dst in dsts:
-            count += yield from self.transfer(src, dst, size_bytes)
+            count = 1
+        else:
+            for dst in dsts:
+                count += yield from self.transfer(src, dst, size_bytes)
+        if entries:
+            self._sg_transfers.inc(count)
+            self.sg_entries += entries
         return count
 
     # -- internals --------------------------------------------------------------
@@ -230,7 +256,7 @@ class Bus:
                 # Link-layer replay: the corrupted transaction is re-sent
                 # while the bus is still held, doubling its occupancy.
                 self._pending_transients -= 1
-                self.transient_faults += 1
+                self._transients.inc()
                 trace_emit(self.sim, "fault",
                            f"bus {self.spec.name}: transient error, replaying "
                            f"{src}->{dst}", bus=self.spec.name, src=src,
@@ -240,7 +266,7 @@ class Bus:
             self._arbiter.release()
             if span is not None:
                 tel.end(span)
-        self.bytes_moved += size_bytes
+        self._bytes.inc(size_bytes)
         if not multicast:
             self._count(src, dst)
         if self.record_log:
@@ -251,12 +277,13 @@ class Bus:
     def _count(self, src: str, dst: str) -> None:
         key = (src, dst)
         self.crossings[key] = self.crossings.get(key, 0) + 1
+        self._transactions.inc()
 
     # -- inspection --------------------------------------------------------------
 
     def total_crossings(self) -> int:
         """Total recorded transactions across all pairs."""
-        return sum(self.crossings.values())
+        return self._transactions.value
 
     def host_memory_crossings(self) -> int:
         """Transactions that touched host memory (the expensive ones)."""

@@ -48,10 +48,7 @@ class Machine:
         self.spec = spec or MachineSpec()
         self.cpu = Cpu(sim, self.spec.cpu, name=f"{self.spec.name}-cpu")
         self.l2 = Cache(self.spec.l2, name=f"{self.spec.name}-L2")
-        self.bus = Bus(sim, self.spec.bus)
-        # Bus specs share generic names ("pcie"); key the telemetry
-        # track on the machine so multi-host traces stay readable.
-        self.bus.telemetry_track = f"bus:{self.spec.name}"
+        self.bus = Bus(sim, self.spec.bus, name=self.spec.name)
         self.devices: Dict[str, ProgrammableDevice] = {}
         self.power = PowerModel()
         self.power.register(self.cpu)

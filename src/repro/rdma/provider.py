@@ -40,7 +40,7 @@ from repro.hw.machine import Machine
 from repro.rdma.mr import RdmaRegion
 from repro.rdma.verbs import (CQ_POLL_NS, DOORBELL_NS, MR_REGISTER_NS,
                               POST_WR_NS, WR_ENGINE_NS, CompletionQueue,
-                              QueuePair, RdmaStats)
+                              QueuePair, RdmaCounters, RdmaStats)
 from repro.sim.engine import Event
 
 __all__ = ["RdmaProvider", "RDMA_FEATURE"]
@@ -63,9 +63,37 @@ class RdmaProvider(ChannelProvider):
         self.memory = memory
         self.kernel = kernel
         self.name = f"rdma-{device.name}"
-        self.stats = RdmaStats()
+        self._register_metrics(machine.sim.metrics,
+                               f"{machine.name}/{self.name}")
         self.regions: List[RdmaRegion] = []
         self._pin_cursor = itertools.count(0x9000_0000, 0x0100_0000)
+
+    def _register_metrics(self, metrics, label: str) -> None:
+        """Verb counters plus the one-sided conservation law (``posted
+        == completed + failed``), exported as an imbalance gauge and a
+        violation count — the same shape as the channel law."""
+        self.counters = RdmaCounters(metrics, label)
+        imbalance = metrics.gauge(
+            "repro_rdma_conservation_imbalance",
+            help="posted - (completed + failed); nonzero = work requests "
+                 "lost in flight",
+            labels=("provider",)).own(provider=label)
+        violations = metrics.gauge(
+            "repro_rdma_conservation_violations",
+            help="RDMA providers violating the one-sided conservation law",
+            labels=("provider",)).own(provider=label)
+
+        def collect(_registry) -> None:
+            stats = self.stats
+            imbalance.set(stats.imbalance)
+            violations.set(len(stats.violations(self.name)))
+
+        metrics.register_collector(collect)
+
+    @property
+    def stats(self) -> RdmaStats:
+        """This engine's one-sided accounting so far."""
+        return self.counters.stats()
 
     # -- ChannelProvider interface ---------------------------------------------------
 
@@ -143,9 +171,9 @@ class RdmaProvider(ChannelProvider):
             # The WR was posted but the engine died: account it failed
             # so `posted == completed + failed` survives the crash, then
             # let the channel's retry/drop machinery see the error.
-            self.stats.failed += posted_here
+            self.counters.failed.inc(posted_here)
             raise
-        self.stats.completed += 1
+        self.counters.completed.inc()
 
     def transfer_vectored(self, channel: Channel, source: Endpoint,
                           destinations: List[Endpoint], batch: CallBatch
@@ -195,9 +223,9 @@ class RdmaProvider(ChannelProvider):
                                             context="rdma-channel")
                 yield from self._copy_out(channel, host, batch.size_bytes)
         except DeviceFailedError:
-            self.stats.failed += posted_here
+            self.counters.failed.inc(posted_here)
             raise
-        self.stats.completed += count
+        self.counters.completed.inc(count)
 
     # -- verb API (the raw one-sided surface) -----------------------------------------
 
@@ -253,16 +281,16 @@ class RdmaProvider(ChannelProvider):
         # presence test must be identity, not truthiness.
         if cq is None:
             cq = self.create_cq(site)
-        return QueuePair(site, self.device, cq, self.stats)
+        return QueuePair(site, self.device, cq, self.counters)
 
     # -- internals --------------------------------------------------------------------
 
     def _count(self, posted: int, writes: int, doorbells: int,
                bytes_written: int) -> None:
-        self.stats.posted += posted
-        self.stats.writes += writes
-        self.stats.doorbells += doorbells
-        self.stats.bytes_written += bytes_written
+        self.counters.posted.inc(posted)
+        self.counters.writes.inc(writes)
+        self.counters.doorbells.inc(doorbells)
+        self.counters.bytes_written.inc(bytes_written)
 
     def _host_site(self, channel: Channel) -> Optional[HostSite]:
         return next((e.site for e in channel.endpoints

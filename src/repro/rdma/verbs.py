@@ -35,7 +35,7 @@ from repro.rdma.mr import RdmaRegion
 from repro.sim.engine import Event
 
 __all__ = ["WorkRequest", "Completion", "CompletionQueue", "QueuePair",
-           "RdmaStats"]
+           "RdmaCounters", "RdmaStats"]
 
 # Verb-engine cost constants (the RDMA analogue of providers.py's
 # descriptor costs).  Posting a WR is a user-space queue append; the
@@ -158,6 +158,57 @@ class RdmaStats:
         """posted - (completed + failed); nonzero = WRs lost in flight."""
         return self.posted - (self.completed + self.failed)
 
+    def violations(self, provider: str) -> List[str]:
+        """The one-sided conservation law: every posted work request
+        ends as exactly one completion, ok or errored, even across an
+        engine crash, and the verb breakdown sums to the successes.
+        Returns violations naming ``provider`` (empty = law holds)."""
+        violations: List[str] = []
+        if self.imbalance != 0:
+            violations.append(
+                f"provider {provider} leaks work requests: "
+                f"posted={self.posted} completed={self.completed} "
+                f"failed={self.failed} (imbalance {self.imbalance})")
+        if self.reads + self.writes + self.cas != self.completed:
+            violations.append(
+                f"provider {provider} verb breakdown "
+                f"(reads={self.reads} writes={self.writes} cas={self.cas}) "
+                f"does not sum to completed={self.completed}")
+        return violations
+
+
+# Help of the counter behind each RdmaStats field, exported as
+# ``repro_rdma_<field>_total`` under the engine's ``provider`` label.
+_HELP = {
+    "posted": "Work requests posted",
+    "completed": "Work requests completed successfully",
+    "failed": "Work requests completed with error status",
+    "reads": "One-sided read verbs completed",
+    "writes": "One-sided write verbs completed",
+    "cas": "One-sided compare-and-swap verbs completed",
+    "doorbells": "Doorbell rings (one per submitted batch)",
+    "bytes_read": "Bytes moved by one-sided reads",
+    "bytes_written": "Bytes moved by one-sided writes",
+}
+
+
+class RdmaCounters:
+    """One engine's counters in the simulator's metrics registry,
+    bumped in place by its queue pairs and provider."""
+
+    __slots__ = tuple(_HELP)
+
+    def __init__(self, metrics, provider: str) -> None:
+        for name, text in _HELP.items():
+            setattr(self, name, metrics.counter(
+                f"repro_rdma_{name}_total", help=text,
+                labels=("provider",)).own(provider=provider))
+
+    def stats(self) -> RdmaStats:
+        """The current values as an :class:`RdmaStats`."""
+        return RdmaStats(**{name: getattr(self, name).value
+                            for name in _HELP})
+
 
 class QueuePair:
     """An initiator's submission context toward one RDMA engine.
@@ -171,11 +222,11 @@ class QueuePair:
     """
 
     def __init__(self, site, engine, cq: CompletionQueue,
-                 stats: RdmaStats) -> None:
+                 counters: RdmaCounters) -> None:
         self.site = site
         self.engine = engine
         self.cq = cq
-        self.stats = stats
+        self.counters = counters
         self._pending: List[WorkRequest] = []
 
     # -- posting (no simulated time) ------------------------------------------------
@@ -187,7 +238,7 @@ class QueuePair:
         wr = WorkRequest(op="read", region=region, offset=offset,
                          length=max(1, length))
         self._pending.append(wr)
-        self.stats.posted += 1
+        self.counters.posted.inc()
         return wr.wr_id
 
     def post_write(self, region: RdmaRegion, offset: int, value: Any,
@@ -197,7 +248,7 @@ class QueuePair:
         wr = WorkRequest(op="write", region=region, offset=offset,
                          length=max(1, length), value=value)
         self._pending.append(wr)
-        self.stats.posted += 1
+        self.counters.posted.inc()
         return wr.wr_id
 
     def post_compare_and_swap(self, region: RdmaRegion, offset: int,
@@ -207,7 +258,7 @@ class QueuePair:
         wr = WorkRequest(op="cas", region=region, offset=offset,
                          length=8, expected=expected, desired=desired)
         self._pending.append(wr)
-        self.stats.posted += 1
+        self.counters.posted.inc()
         return wr.wr_id
 
     @property
@@ -232,7 +283,7 @@ class QueuePair:
             return []
         yield from self.site.execute(
             POST_WR_NS * len(batch) + DOORBELL_NS, context="rdma-post")
-        self.stats.doorbells += 1
+        self.counters.doorbells.inc()
         completions: List[Completion] = []
         try:
             yield from self.engine.run_on_device(
@@ -339,24 +390,24 @@ class QueuePair:
         except RdmaError as exc:
             return self._fail(wr, str(exc))
         if wr.op == "read":
-            self.stats.reads += 1
-            self.stats.completed += 1
-            self.stats.bytes_read += wr.length
+            self.counters.reads.inc()
+            self.counters.completed.inc()
+            self.counters.bytes_read.inc(wr.length)
             return Completion(wr_id=wr.wr_id, op="read", status="ok",
                               value=wr.region.read_object(wr.offset))
         if wr.op == "write":
             wr.region.write_object(wr.offset, wr.value)
-            self.stats.writes += 1
-            self.stats.completed += 1
-            self.stats.bytes_written += wr.length
+            self.counters.writes.inc()
+            self.counters.completed.inc()
+            self.counters.bytes_written.inc(wr.length)
             return Completion(wr_id=wr.wr_id, op="write", status="ok")
         old = wr.region.compare_and_swap(wr.offset, wr.expected,
                                          wr.desired)
-        self.stats.cas += 1
-        self.stats.completed += 1
+        self.counters.cas.inc()
+        self.counters.completed.inc()
         return Completion(wr_id=wr.wr_id, op="cas", status="ok", value=old)
 
     def _fail(self, wr: WorkRequest, error: str) -> Completion:
-        self.stats.failed += 1
+        self.counters.failed.inc()
         return Completion(wr_id=wr.wr_id, op=wr.op, status="error",
                           error=error)

@@ -108,6 +108,13 @@ class Supervisor:
         self._last_retransmits = 0
         self._process = None
 
+    def _decide(self, decision: SupervisorDecision) -> None:
+        """Log one policy action and count it in the runtime's metrics."""
+        self.decisions.append(decision)
+        metrics = self.runtime.metrics
+        metrics.supervisor_decisions.labels(
+            runtime=metrics.name, action=decision.action).inc()
+
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "Supervisor":
@@ -159,7 +166,7 @@ class Supervisor:
         self._quarantined_at[device] = now
         self._probation_deadline[device] = now + self.config.probation_ns
         self.quarantines += 1
-        self.decisions.append(SupervisorDecision(
+        self._decide(SupervisorDecision(
             at_ns=now, action="quarantine", device=device,
             detail=f"{recoveries} recoveries in flap window"))
         trace_emit(self.sim, "fault",
@@ -203,7 +210,7 @@ class Supervisor:
                 self._episode_start[device] = len(
                     watchdog.transitions_of(device))
             self.unquarantines += 1
-            self.decisions.append(SupervisorDecision(
+            self._decide(SupervisorDecision(
                 at_ns=now, action="unquarantine", device=device,
                 detail="probation served"))
             trace_emit(self.sim, "fault",
@@ -220,7 +227,7 @@ class Supervisor:
                    if not bindname.startswith("hydra.")]
         for bindname in victims:
             self.drains_started += 1
-            self.decisions.append(SupervisorDecision(
+            self._decide(SupervisorDecision(
                 at_ns=self.sim.now, action="drain", device=device,
                 detail=bindname))
             try:
@@ -247,7 +254,7 @@ class Supervisor:
         if (not self.admission.engaged
                 and self.retransmit_rate_ewma > config.brownout_enter):
             self.admission.engage(self.sim.now)
-            self.decisions.append(SupervisorDecision(
+            self._decide(SupervisorDecision(
                 at_ns=self.sim.now, action="shed-on",
                 detail=f"retransmit EWMA {self.retransmit_rate_ewma:.0f}/s"))
             trace_emit(self.sim, "fault",
@@ -256,7 +263,7 @@ class Supervisor:
         elif (self.admission.engaged
               and self.retransmit_rate_ewma < config.brownout_exit):
             self.admission.disengage()
-            self.decisions.append(SupervisorDecision(
+            self._decide(SupervisorDecision(
                 at_ns=self.sim.now, action="shed-off",
                 detail=f"retransmit EWMA {self.retransmit_rate_ewma:.0f}/s"))
             trace_emit(self.sim, "fault",

@@ -89,6 +89,7 @@ from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import InterruptError, ProcessError, SchedulingError
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "Event",
@@ -749,6 +750,28 @@ class Simulator:
         self.pool_recycled = 0     # fused-sleep handles served from the pool
         self.fused_resumes = 0     # events dispatched via the fused fast path
         self.dead_timers = 0       # cancelled entries awaiting lazy removal
+        # The run's one counter store (see repro.telemetry.metrics).  The
+        # ints above are read into it at snapshot time, so the run loop
+        # keeps its plain integer bumps; a dead-timer gauge stuck high
+        # means cancellations outpace the reclaim sweeps.
+        self.metrics = MetricsRegistry()
+        events = self.metrics.counter(
+            "repro_sim_events_total",
+            help="Events dispatched by the scheduler").labels()
+        fused = self.metrics.counter(
+            "repro_sim_fused_resumes_total",
+            help="Events dispatched via the fused-sleep fast path").labels()
+        dead = self.metrics.gauge(
+            "repro_sim_dead_timers",
+            help="Cancelled timer entries awaiting lazy removal from the "
+                 "wheel").labels()
+
+        def collect(_registry: MetricsRegistry) -> None:
+            events.set_total(self.events_processed)
+            fused.set_total(self.fused_resumes)
+            dead.set(self.dead_timers)
+
+        self.metrics.register_collector(collect)
 
     # -- factories -------------------------------------------------------
 

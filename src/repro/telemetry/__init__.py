@@ -3,9 +3,9 @@
 The measurement layer HYDRA's evaluation implies: causal spans
 (:mod:`~repro.telemetry.spans`) follow one remote invocation from proxy
 through marshal, channel, batch, bus and device execution to the reply;
-a labelled metrics registry (:mod:`~repro.telemetry.metrics`) absorbs
-the scattered legacy counters via adapters
-(:mod:`~repro.telemetry.adapters`); and exporters
+a labelled metrics registry (:mod:`~repro.telemetry.metrics`), one per
+simulator (``sim.metrics``), is the store every subsystem counts into;
+and exporters
 (:mod:`~repro.telemetry.export`) turn a run into Perfetto-loadable
 Chrome trace JSON, Prometheus text and a JSON snapshot.
 

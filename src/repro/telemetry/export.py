@@ -120,7 +120,7 @@ def _format_labels(names, values) -> str:
 def to_prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format.
 
-    Collectors run first, so absorbed legacy counters are current.
+    Collectors run first, so derived values are current.
     """
     registry.collect()
     lines: List[str] = []

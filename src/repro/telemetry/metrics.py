@@ -1,21 +1,20 @@
 """A small labelled-metrics registry (Counter / Gauge / Histogram).
 
-The repo's counters grew up scattered: :class:`ChannelStats` snapshots,
-``marshal.stats.encodes``, bus crossing dicts, recovery incident lists.
-This registry gives them one home with Prometheus-compatible semantics
-so a run's whole quantitative state exports from a single object.
+Every :class:`~repro.sim.engine.Simulator` owns one registry
+(``sim.metrics``) and it is the only counter store of a run: the
+subsystems that bump a total — channels, buses, RDMA verbs, the fault
+injector, the watchdog, the supervisor, the marshal callers — register
+their families at construction, keep the label children they own, and
+increment them in place.  Their stats APIs (``ChannelStats``,
+``RdmaStats``, ``bus.bytes_moved`` ...) are views over those children.
+Values that are derived from state an owner already keeps (the engine's
+per-event ints, incident and migration outcomes) are refreshed by a
+*collector* the owner registers, which runs at snapshot time::
 
-Two usage styles:
-
-* **direct** — code owns a metric and mutates it inline::
-
-      calls = registry.counter("repro_calls_total", labels=("method",))
-      calls.labels(method="Nop").inc()
-
-* **absorbed** — an adapter (:mod:`repro.telemetry.adapters`) registers
-  a *collector* that, at scrape time, copies an existing ad-hoc counter
-  into the registry (``Counter.set_total``).  The legacy counter stays
-  authoritative; the registry is the uniform read side.
+    sent = sim.metrics.counter("repro_channel_sent_total",
+                               labels=("runtime", "channel", "label"))
+    mine = sent.own(runtime="client", channel="3", label="media")
+    mine.inc()
 
 No wall-clock anywhere: values come from simulation state, so snapshots
 of a seeded run are deterministic.
@@ -56,10 +55,10 @@ class Counter:
         self._value += amount
 
     def set_total(self, value: float) -> None:
-        """Absorb an externally-maintained cumulative total.
+        """Refresh a cumulative total derived from the owner's state.
 
-        For adapter collectors mirroring legacy counters; the new total
-        must not regress (counters only go up).
+        For snapshot-time collectors; the new total must not regress
+        (counters only go up).
         """
         if value < self._value:
             raise ReproError(
@@ -168,16 +167,27 @@ class MetricFamily:
 
     def labels(self, **labels: Any) -> Any:
         """The child for one label combination (created on first use)."""
-        if set(labels) != set(self.label_names):
-            raise ReproError(
-                f"{self.name}: expected labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[name]) for name in self.label_names)
+        key = self._key(labels)
         child = self._children.get(key)
         if child is None:
             child = self._make_child()
             self._children[key] = child
         return child
+
+    def own(self, **labels: Any) -> Any:
+        """A fresh child for one owner's exclusive use, exported under
+        ``labels`` unless a namesake already holds them (then it counts
+        privately, so an owner's view never mixes in another's)."""
+        child = self._make_child()
+        self._children.setdefault(self._key(labels), child)
+        return child
+
+    def _key(self, labels: Dict[str, Any]) -> Tuple[str, ...]:
+        if set(labels) != set(self.label_names):
+            raise ReproError(
+                f"{self.name}: expected labels {self.label_names}, "
+                f"got {tuple(sorted(labels))}")
+        return tuple(str(labels[name]) for name in self.label_names)
 
     def _default_child(self) -> Any:
         if self.label_names:
@@ -201,7 +211,7 @@ class MetricFamily:
         self._default_child().set(value)
 
     def set_total(self, value: float) -> None:
-        """Counter-absorption convenience on a label-less family."""
+        """Counter-refresh convenience on a label-less family."""
         self._default_child().set_total(value)
 
     def observe(self, value: float) -> None:
@@ -272,12 +282,12 @@ class MetricsRegistry:
 
     def register_collector(
             self, collector: Callable[["MetricsRegistry"], None]) -> None:
-        """Add a scrape-time refresher (adapters absorbing legacy
-        counters register one per bound subsystem)."""
+        """Add a snapshot-time refresher (owners whose values derive
+        from state they already keep register one)."""
         self._collectors.append(collector)
 
     def collect(self) -> None:
-        """Run every collector so absorbed metrics reflect live state."""
+        """Run every collector so derived metrics reflect live state."""
         for collector in self._collectors:
             collector(self)
 

@@ -139,16 +139,16 @@ class Telemetry:
     """The per-simulator telemetry hub: spans, instants and metrics.
 
     Attach with :meth:`attach` (or set ``sim.telemetry`` yourself); the
-    instrumented subsystems discover it through that attribute.  Holds a
-    :class:`~repro.telemetry.metrics.MetricsRegistry` so one object
-    carries the whole observable state of a run.
+    instrumented subsystems discover it through that attribute.  Its
+    ``registry`` is the simulator's own ``sim.metrics``, the store every
+    subsystem already writes to, so one object carries the whole
+    observable state of a run.
     """
 
-    def __init__(self, sim, registry: Optional[MetricsRegistry] = None,
-                 max_spans: int = 200_000,
+    def __init__(self, sim, max_spans: int = 200_000,
                  max_events: int = 200_000) -> None:
         self.sim = sim
-        self.registry = registry or MetricsRegistry()
+        self.registry: MetricsRegistry = sim.metrics
         self.max_spans = max_spans
         self.max_events = max_events
         self.spans: List[Span] = []

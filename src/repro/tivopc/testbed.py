@@ -78,10 +78,10 @@ class TestbedConfig:
     # into their depot stores so recovery can restore rather than
     # cold-start.
     checkpoint: Optional[CheckpointConfig] = None
-    # End-to-end tracing + metrics (repro.telemetry): attaches a
-    # Telemetry hub to the simulator and binds every subsystem's
-    # counters into its registry.  Off by default — the disabled path
-    # costs one attribute check per instrumented site.
+    # End-to-end tracing (repro.telemetry): attaches a Telemetry hub
+    # to the simulator, whose registry is the sim.metrics every
+    # subsystem already counts into.  Off by default — the disabled
+    # path costs one attribute check per instrumented site.
     telemetry: bool = False
     # Resilience knobs (repro.resilience).  ``standby_nic`` adds a
     # second programmable NIC ("nic1") to the client, registered as a
@@ -187,14 +187,11 @@ class Testbed:
                 rng=self.rng.stream("faults"))
 
         # Telemetry hub (lazy import keeps the untraced path free of the
-        # subsystem entirely).  Bound last: the adapters enumerate the
-        # runtimes, buses and injector built above.
+        # span machinery entirely).
         self.telemetry = None
         if self.config.telemetry:
             from repro.telemetry import Telemetry
-            from repro.telemetry.adapters import bind_testbed
             self.telemetry = Telemetry.attach(self.sim)
-            bind_testbed(self.telemetry.registry, self)
 
     # -- construction helpers ------------------------------------------------------
 

@@ -4,8 +4,8 @@ Marshaling is charged per byte on the caller's CPU, so the argument
 bytes must be produced exactly once per logical invocation: a Call
 caches its encoded arguments and serialized size at construction,
 ``reissue()`` reuses them for retries, and the proxy retry loop never
-re-marshals.  ``marshal.stats.encodes`` counts real serializations and
-pins each path.
+re-marshals.  Each simulator's ``repro_marshal_encodes_total`` counter
+counts real serializations and pins each path.
 """
 
 import pytest
@@ -44,6 +44,10 @@ ECHO_GUID = Guid(4242)
 
 @pytest.fixture()
 def world():
+    return build_world()
+
+
+def build_world():
     sim = Simulator()
     machine = Machine(sim)
     machine.add_nic()
@@ -54,6 +58,16 @@ def world():
         image_bytes=8 * 1024))
     runtime.depot.register(ECHO_GUID, EchoOffcode)
     return sim, machine, runtime
+
+
+def counts(sim):
+    """``(encodes, decodes)`` counted in ``sim``'s metrics registry."""
+    return tuple(counter.value for counter in marshal.counters(sim.metrics))
+
+
+def encodes(sim):
+    """Serializations counted in ``sim``'s metrics registry so far."""
+    return counts(sim)[0]
 
 
 def deploy(sim, runtime):
@@ -69,22 +83,22 @@ def deploy(sim, runtime):
 
 def test_make_call_encodes_once_and_caches_size():
     sim = Simulator()
-    before = marshal.stats.encodes
+    before = encodes(sim)
     call = make_call(sim, IECHO, "Echo", ("hello world",))
-    assert marshal.stats.encodes == before + 1
+    assert encodes(sim) == before + 1
     # size_bytes is a cached attribute: reading it repeatedly (channels,
     # batchers and providers all do) never touches the encoder again.
     sizes = {call.size_bytes for _ in range(10)}
     assert sizes == {24 + len("Echo") + len(call.encoded_args)}
-    assert marshal.stats.encodes == before + 1
+    assert encodes(sim) == before + 1
 
 
 def test_reissue_reuses_encoded_bytes():
     sim = Simulator()
     call = make_call(sim, IECHO, "Echo", ("payload",))
-    before = marshal.stats.encodes
+    before = encodes(sim)
     retry = call.reissue(sim)
-    assert marshal.stats.encodes == before          # no re-encode
+    assert encodes(sim) == before          # no re-encode
     assert retry.encoded_args is call.encoded_args  # same bytes object
     assert retry.size_bytes == call.size_bytes
     assert retry.call_id != call.call_id
@@ -108,10 +122,31 @@ def test_retry_proxy_marshals_arguments_once(world):
         except RetryBudgetExceededError as exc:
             out["exc"] = exc
 
-    before = marshal.stats.encodes
+    before = encodes(sim)
     sim.run_until_event(sim.spawn(call()))
     assert out["exc"].attempts == 3
     assert proxy.timeouts == 3
     # Three attempts, one serialization: retries reissue the cached
     # bytes instead of re-marshaling the 256-byte argument.
-    assert marshal.stats.encodes == before + 1
+    assert encodes(sim) == before + 1
+
+
+def test_each_simulator_counts_only_its_own_marshaling(world):
+    """Two simulators interleaved in one process: each registry counts
+    the encodes and decodes of its own calls and nothing else."""
+    runs = [(sim, deploy(sim, runtime).proxy)
+            for sim, _, runtime in (world, build_world())]
+    before = [counts(sim) for sim, _ in runs]
+
+    def echo(proxy):
+        yield from proxy.Echo("x")
+
+    for _ in range(3):
+        for (sim, proxy), calls in zip(runs, (1, 2)):
+            for _ in range(calls):
+                sim.run_until_event(sim.spawn(echo(proxy)))
+    # A two-way call encodes its arguments at the proxy and its result
+    # at the offcode, and decodes each once on the far side.
+    assert [counts(sim) for sim, _ in runs] == [
+        (encoded + 2 * calls, decoded + 2 * calls)
+        for (encoded, decoded), calls in zip(before, (3, 6))]

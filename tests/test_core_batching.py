@@ -10,7 +10,7 @@ from repro.errors import (
 )
 from repro.core import marshal
 from repro.core.call import Call, CallBatch, CallPolicy
-from repro.core.channel import BatchConfig, ChannelConfig
+from repro.core.channel import BatchConfig, ChannelConfig, ChannelKind
 from repro.core.executive import ChannelBatcher, ChannelExecutive
 from repro.core.interfaces import InterfaceSpec, MethodSpec
 from repro.core.memory import MemoryManager
@@ -23,7 +23,7 @@ from repro.core.providers import (
 )
 from repro.core.runtime import DeploymentSpec, HydraRuntime
 from repro.core.sites import DeviceSite, HostSite
-from repro.hw import DeviceClass, Machine
+from repro.hw import BusSpec, DeviceClass, Machine, MachineSpec
 from repro.sim import Simulator
 
 
@@ -290,7 +290,7 @@ def test_failed_batch_retries_as_a_unit(world):
         for seq in range(4):
             yield from source.write(("m", seq), 64)
 
-    before = marshal.stats.encodes
+    before = marshal.counters(world.sim.metrics)[0].value
     world.drive(writer())
     assert flaky.vectored_attempts == 2       # one failure + one success
     assert channel.batches_sent == 1          # the batch moved whole
@@ -298,7 +298,7 @@ def test_failed_batch_retries_as_a_unit(world):
     assert channel.drops == 0
     # The replayed batch re-sends the entries' cached bytes; nothing is
     # re-marshalled on the retry path.
-    assert marshal.stats.encodes == before
+    assert marshal.counters(world.sim.metrics)[0].value == before
 
 
 def test_batch_retry_budget_exhaustion_charges_drops(world):
@@ -361,6 +361,37 @@ def test_vectored_flush_is_one_scatter_gather_transaction(world):
     assert len(world.machine.bus.transfers) == 1
     assert world.machine.bus.sg_transfers == 1
     assert world.machine.bus.sg_entries == 16
+
+
+def test_vectored_multicast_on_legacy_pci_counts_every_transaction():
+    """Without peer-to-peer, a hardware-multicast batch stages each copy
+    through host memory: the bus counts every transaction it performs
+    as scatter-gather, the rule :meth:`Bus.transfer_scatter` uses."""
+    sim = Simulator()
+    machine = Machine(sim, MachineSpec(bus=BusSpec.pci_legacy()))
+    nic, gpu, disk = machine.add_nic(), machine.add_gpu(), machine.add_disk()
+    memory = MemoryManager(machine)
+    executive = ChannelExecutive()
+    executive.register_provider(PeerDmaProvider(machine))
+    for device in (nic, gpu, disk):
+        executive.register_provider(
+            DmaChannelProvider(machine, device, memory))
+    config = ChannelConfig(kind=ChannelKind.MULTICAST).batched(
+        max_calls=8, adaptive=False)
+    channel = executive.create_channel(config, DeviceSite(nic))
+    for device in (gpu, disk):
+        executive.connect_site(channel, DeviceSite(device))
+
+    def writer():
+        for seq in range(8):
+            yield from channel.creator_endpoint.write(("m", seq), 188)
+
+    sim.run_until_event(sim.spawn(writer()))
+    assert channel.batches_sent == 1
+    # Two destinations, each staged nic0 -> host memory -> device.
+    assert machine.bus.total_crossings() == 4
+    assert machine.bus.sg_transfers == 4
+    assert machine.bus.sg_entries == 8
 
 
 # -- the provider-cost cache ---------------------------------------------------------

@@ -5,16 +5,15 @@ still fetched exactly once with the right value (the client flips to
 the two-sided RPC fallback), (b) the one-sided conservation law
 ``posted == completed + failed`` holds through the crash, and (c) the
 watchdog machinery fences the dead NIC as a recovered incident.  The
-telemetry adapters must report the same story through the metrics
-registry.
+simulator's metrics registry, which the verbs count into, must report
+the same story.
 """
 
 import pytest
 
 from repro.rdma.filter import run_filter_scenario
 from repro.rdma.kv import run_kv_chaos, run_kv_scenario
-from repro.telemetry.adapters import bind_rdma, check_rdma_conservation
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.adapters import check_rdma_conservation
 
 
 # -- the happy-path scenario --------------------------------------------------------
@@ -68,14 +67,12 @@ def test_kv_chaos_telemetry_after_crash():
     world.sim.run_until_event(world.sim.spawn(application()))
 
     assert check_rdma_conservation(world.provider) == []
-    registry = MetricsRegistry()
-    bind_rdma(registry, world.provider, "test/rdma-nic0")
-    snapshot = registry.snapshot()
+    snapshot = world.sim.metrics.snapshot()
     stats = world.provider.stats
 
     def value(metric):
         (sample,) = snapshot[metric]["samples"]
-        assert sample["labels"] == {"provider": "test/rdma-nic0"}
+        assert sample["labels"] == {"provider": "host/rdma-nic0"}
         return sample["value"]
 
     assert value("repro_rdma_reads_total") == stats.reads

@@ -1,12 +1,12 @@
-"""Tests for the metrics registry and the legacy-counter adapters.
+"""Tests for the metrics registry and the counters subsystems write to it.
 
 The registry half is pure unit testing (Prometheus semantics: monotone
 counters, labelled families, cumulative histogram buckets).  The
-adapter half runs the chaos soak's fast subset with telemetry attached
+subsystem half runs the chaos soak's fast subset with telemetry attached
 and asserts the channel conservation law — ``sent == delivered +
 dropped`` on every noise-armed reliable channel — holds and is exported
-as a first-class metric, alongside the absorbed ``marshal.stats``
-counters; hand-built channels check that each violation is reported.
+as a first-class metric, alongside the marshal encode/decode counters;
+hand-built channels check that each violation is reported.
 """
 
 import pytest
@@ -108,7 +108,7 @@ def test_collectors_run_at_snapshot_time():
     registry.register_collector(
         lambda reg: reg.get("absorbed_total").set_total(live["count"]))
     assert registry.snapshot()["absorbed_total"]["samples"][0]["value"] == 3
-    live["count"] = 8                     # legacy counter stays authoritative
+    live["count"] = 8                     # the owner keeps its own state
     assert registry.snapshot()["absorbed_total"]["samples"][0]["value"] == 8
 
 
@@ -188,7 +188,7 @@ def test_conservation_law_holds_after_chaos(chaos_run):
 def test_chaos_metrics_absorb_legacy_counters(chaos_run):
     testbed = chaos_run.testbed
     snap = testbed.telemetry.registry.snapshot()
-    # marshal.stats flows through the registry (bind-time baseline).
+    # The marshal callers count into the simulator's registry.
     # Decodes stay zero here — the chaos pipeline is all one-way media
     # calls — so only assert the family is exported.
     assert snap["repro_marshal_encodes_total"]["samples"][0]["value"] > 0
