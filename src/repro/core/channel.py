@@ -732,42 +732,47 @@ class Channel:
                        f"#{self.channel_id} {source.site.name} -> "
                        f"{','.join(d.site.name for d in destinations)}",
                        bytes=size_bytes, call=message.is_call)
-            if self._fault_filter is not None:
-                verdict = self._fault_filter(message)
-                if verdict == "drop":
-                    # Lost on the wire *after* occupying it: cost paid,
-                    # no data.
-                    self._dropped.inc()
-                    trace_emit(sim, "fault",
-                               f"#{self.channel_id} message dropped in "
-                               "flight",
-                               channel=self.channel_id,
-                               label=self.config.label)
-                    return
-                if verdict == "corrupt":
-                    self._corrupted.inc()
-                    trace_emit(sim, "fault",
-                               f"#{self.channel_id} message corrupted in "
-                               "flight",
-                               channel=self.channel_id,
-                               label=self.config.label)
-                    message = Message(
-                        payload=CorruptedPayload(message.payload),
-                        size_bytes=message.size_bytes,
-                        sent_at_ns=message.sent_at_ns,
-                        source=message.source)
-            for destination in destinations:
-                dropped_before = destination.rx.dropped
-                yield from destination._deliver(message)
-                delta = destination.rx.dropped - dropped_before
-                if delta > 0:
-                    self._dropped.inc(delta)
-                else:
-                    self._delivered.inc()
+            yield from self._land(sim, message, destinations)
         finally:
             if span is not None:
                 tel.pop_ctx(token)
                 tel.end(span)
+
+    def _land(self, sim, message: Message, destinations: List[Endpoint]
+              ) -> Generator[Event, None, None]:
+        """Rule on one frame that crossed an unreliable wire, then hand
+        it to every destination, counting each landing.
+
+        The fault filter sees the frame after its transfer cost is paid:
+        a drop vanishes with the cost spent, a corrupt frame arrives
+        wrapped in :class:`CorruptedPayload`.  A destination whose ring
+        overflows counts a drop; every other landing counts a delivery.
+        """
+        if self._fault_filter is not None:
+            verdict = self._fault_filter(message)
+            if verdict == "drop":
+                self._dropped.inc()
+                trace_emit(sim, "fault",
+                           f"#{self.channel_id} message dropped in flight",
+                           channel=self.channel_id, label=self.config.label)
+                return
+            if verdict == "corrupt":
+                self._corrupted.inc()
+                trace_emit(sim, "fault",
+                           f"#{self.channel_id} message corrupted in flight",
+                           channel=self.channel_id, label=self.config.label)
+                message = Message(payload=CorruptedPayload(message.payload),
+                                  size_bytes=message.size_bytes,
+                                  sent_at_ns=message.sent_at_ns,
+                                  source=message.source)
+        for destination in destinations:
+            dropped_before = destination.rx.dropped
+            yield from destination._deliver(message)
+            delta = destination.rx.dropped - dropped_before
+            if delta > 0:
+                self._dropped.inc(delta)
+            else:
+                self._delivered.inc()
 
     # -- the earned-reliability path -----------------------------------------------------
 
@@ -822,17 +827,11 @@ class Channel:
             if self._sequencer is not None:
                 yield self._sequencer.request()
             try:
-                seq = rel.next_seq
-                rel.next_seq += 1
-                rel.unacked[seq] = (payload, size_bytes)
-                message = SequencedMessage(
-                    payload=payload, size_bytes=size_bytes,
-                    sent_at_ns=source.site.sim.now,
-                    source=source.site.name, seq=seq)
+                message = self._stamp(source, payload, size_bytes,
+                                      source.site.sim.now)
                 destinations = [e for e in self.endpoints if e is not source]
                 yield from self._reliable_exchange(
-                    source, destinations, message, seq, size_bytes,
-                    transfer_first=True)
+                    source, destinations, message, transfer_first=True)
                 source.messages_out += 1
             finally:
                 if self._sequencer is not None:
@@ -840,10 +839,20 @@ class Channel:
         finally:
             rel.window.release()
 
+    def _stamp(self, source: Endpoint, payload: Any, size_bytes: int,
+               sent_at_ns: int) -> SequencedMessage:
+        """Number the next message and park it in the retransmit buffer."""
+        rel = self._rel
+        seq = rel.next_seq
+        rel.next_seq += 1
+        rel.unacked[seq] = (payload, size_bytes)
+        return SequencedMessage(payload=payload, size_bytes=size_bytes,
+                                sent_at_ns=sent_at_ns,
+                                source=source.site.name, seq=seq)
+
     def _reliable_exchange(self, source: Endpoint,
                            destinations: List[Endpoint],
-                           message: Message, seq: int, size_bytes: int,
-                           transfer_first: bool
+                           message: SequencedMessage, transfer_first: bool
                            ) -> Generator[Event, None, None]:
         """Transmit ``message`` until it is delivered *and* acked.
 
@@ -858,8 +867,6 @@ class Channel:
         vectored batch reuse its single scatter-gather transfer as every
         entry's first attempt.
         """
-        rel = self._rel
-        cfg = rel.config
         sim = source.site.sim
         tel = sim.telemetry
         span = token = None
@@ -868,12 +875,11 @@ class Channel:
                              self.telemetry_track,
                              parent=(getattr(message.payload, "trace_ctx",
                                              None) or tel.current_ctx()),
-                             seq=seq, bytes=size_bytes)
+                             seq=message.seq, bytes=message.size_bytes)
             token = tel.push_ctx(span.context)
         try:
-            yield from self._exchange_attempts(
-                source, destinations, message, seq, size_bytes,
-                transfer_first, rel, cfg, sim)
+            yield from self._exchange_attempts(source, destinations, message,
+                                               transfer_first, sim)
         finally:
             if span is not None:
                 tel.pop_ctx(token)
@@ -881,9 +887,12 @@ class Channel:
 
     def _exchange_attempts(self, source: Endpoint,
                            destinations: List[Endpoint],
-                           message: Message, seq: int, size_bytes: int,
-                           transfer_first: bool, rel, cfg, sim
-                           ) -> Generator[Event, None, None]:
+                           message: SequencedMessage, transfer_first: bool,
+                           sim) -> Generator[Event, None, None]:
+        rel = self._rel
+        cfg = rel.config
+        seq = message.seq
+        size_bytes = message.size_bytes
         attempt = 0
         while True:
             attempt += 1
@@ -970,59 +979,6 @@ class Channel:
             return False
         return True
 
-    def _send_vectored_reliable(self, source: Endpoint, batch: CallBatch,
-                                destinations: List[Endpoint]
-                                ) -> Generator[Event, None, None]:
-        """Vectored dispatch under the ack/retransmit protocol.
-
-        The batch still moves as one scatter-gather transfer — that
-        transaction is every entry's first wire attempt — but each entry
-        gets its own sequence number and runs the exchange to completion
-        (duplicate-suppressed retransmits are per-entry singles), so a
-        lost frame inside a batch is recovered without resending its
-        siblings.
-        """
-        rel = self._rel
-        tel = source.site.sim.telemetry
-        span = token = None
-        if tel is not None:
-            span = tel.begin("channel.batch", "channel",
-                             self.telemetry_track,
-                             parent=tel.current_ctx(), count=batch.count,
-                             bytes=batch.size_bytes, reliable=True)
-            token = tel.push_ctx(span.context)
-        if self._sequencer is not None:
-            yield self._sequencer.request()
-        try:
-            yield from self.provider.transfer_vectored(
-                self, source, destinations, batch)
-            source.messages_out += batch.count
-            self._sent.inc(batch.count)
-            self._batches.inc()
-            self._bytes.inc(batch.size_bytes)
-            trace_emit(source.site.sim, "channel",
-                       f"#{self.channel_id} {source.site.name} => "
-                       f"{','.join(d.site.name for d in destinations)} "
-                       f"[reliable batch n={batch.count}]",
-                       bytes=batch.size_bytes, batch=batch.count)
-            for entry in batch:
-                seq = rel.next_seq
-                rel.next_seq += 1
-                rel.unacked[seq] = (entry.payload, entry.size_bytes)
-                message = SequencedMessage(
-                    payload=entry.payload, size_bytes=entry.size_bytes,
-                    sent_at_ns=entry.enqueued_at_ns,
-                    source=source.site.name, seq=seq)
-                yield from self._reliable_exchange(
-                    source, destinations, message, seq, entry.size_bytes,
-                    transfer_first=False)
-        finally:
-            if self._sequencer is not None:
-                self._sequencer.release()
-            if span is not None:
-                tel.pop_ctx(token)
-                tel.end(span)
-
     def send_vectored(self, source: Endpoint, batch: CallBatch
                       ) -> Generator[Event, None, None]:
         """Move a whole :class:`CallBatch` as one vectored transaction.
@@ -1032,6 +988,14 @@ class Channel:
         of one per entry; each entry is then delivered as its own
         :class:`Message`, stamped with its original enqueue time so
         latency accounting includes the coalescing wait.
+
+        Under the ack/retransmit protocol the batch still moves as one
+        scatter-gather transfer — that transaction is every entry's
+        first wire attempt — but each entry gets its own sequence number
+        and runs the exchange to completion (retransmits are per-entry
+        singles), so a lost frame inside a batch is recovered without
+        resending its siblings.  The sequencer is held across those
+        exchanges, as a single reliable write holds it across its own.
         """
         self._check_open()
         if batch.count == 0:
@@ -1040,17 +1004,16 @@ class Channel:
             raise ChannelError(
                 f"channel #{self.channel_id} has no remote endpoint")
         destinations = [e for e in self.endpoints if e is not source]
-        if self._rel is not None and self._fault_filter is not None:
-            yield from self._send_vectored_reliable(source, batch,
-                                                    destinations)
-            return
-        tel = source.site.sim.telemetry
+        reliable = self._rel is not None and self._fault_filter is not None
+        sim = source.site.sim
+        tel = sim.telemetry
         span = token = None
         if tel is not None:
+            extra = {"reliable": True} if reliable else {}
             span = tel.begin("channel.batch", "channel",
                              self.telemetry_track,
                              parent=tel.current_ctx(), count=batch.count,
-                             bytes=batch.size_bytes)
+                             bytes=batch.size_bytes, **extra)
             token = tel.push_ctx(span.context)
         try:
             if self._sequencer is not None:
@@ -1058,48 +1021,35 @@ class Channel:
             try:
                 yield from self.provider.transfer_vectored(
                     self, source, destinations, batch)
+                source.messages_out += batch.count
+                self._sent.inc(batch.count)
+                self._batches.inc()
+                self._bytes.inc(batch.size_bytes)
+                kind = "reliable batch" if reliable else "batch"
+                trace_emit(sim, "channel",
+                           f"#{self.channel_id} {source.site.name} => "
+                           f"{','.join(d.site.name for d in destinations)} "
+                           f"[{kind} n={batch.count}]",
+                           bytes=batch.size_bytes, batch=batch.count)
+                if reliable:
+                    for entry in batch:
+                        message = self._stamp(source, entry.payload,
+                                              entry.size_bytes,
+                                              entry.enqueued_at_ns)
+                        yield from self._reliable_exchange(
+                            source, destinations, message,
+                            transfer_first=False)
             finally:
                 if self._sequencer is not None:
                     self._sequencer.release()
-            source.messages_out += batch.count
-            self._sent.inc(batch.count)
-            self._batches.inc()
-            self._bytes.inc(batch.size_bytes)
-            trace_emit(source.site.sim, "channel",
-                       f"#{self.channel_id} {source.site.name} => "
-                       f"{','.join(d.site.name for d in destinations)} "
-                       f"[batch n={batch.count}]",
-                       bytes=batch.size_bytes, batch=batch.count)
-            for entry in batch:
-                message = Message(payload=entry.payload,
-                                  size_bytes=entry.size_bytes,
-                                  sent_at_ns=entry.enqueued_at_ns,
-                                  source=source.site.name)
-                if self._fault_filter is not None:
-                    verdict = self._fault_filter(message)
-                    if verdict == "drop":
-                        self._dropped.inc()
-                        trace_emit(source.site.sim, "fault",
-                                   f"#{self.channel_id} batched message "
-                                   "dropped in flight",
-                                   channel=self.channel_id,
-                                   label=self.config.label)
-                        continue
-                    if verdict == "corrupt":
-                        self._corrupted.inc()
-                        message = Message(
-                            payload=CorruptedPayload(message.payload),
-                            size_bytes=message.size_bytes,
-                            sent_at_ns=message.sent_at_ns,
-                            source=message.source)
-                for destination in destinations:
-                    dropped_before = destination.rx.dropped
-                    yield from destination._deliver(message)
-                    delta = destination.rx.dropped - dropped_before
-                    if delta > 0:
-                        self._dropped.inc(delta)
-                    else:
-                        self._delivered.inc()
+            if not reliable:
+                for entry in batch:
+                    yield from self._land(
+                        sim, Message(payload=entry.payload,
+                                     size_bytes=entry.size_bytes,
+                                     sent_at_ns=entry.enqueued_at_ns,
+                                     source=source.site.name),
+                        destinations)
         finally:
             if span is not None:
                 tel.pop_ctx(token)

@@ -18,6 +18,14 @@ Three provider families cover a host:
 * :class:`PeerDmaProvider` — device <-> device transfers that bypass
   host memory entirely on peer-to-peer buses (single transaction for
   hardware multicast).
+
+Each provider writes its data path once per direction, in a ``_move``
+body that ``transfer`` and ``transfer_vectored`` both call with the
+bytes to move (``size``) and, for a batch, its chained scatter-gather
+list (``sizes``; None for one message).  That list is all a batch
+adds: it selects the vectored DMA, charges the receiver a per-entry
+unbundle cost, and on RDMA posts one WR per entry behind the one
+doorbell.
 """
 
 from __future__ import annotations
@@ -47,6 +55,41 @@ _LOCAL_COPY_NS_PER_BYTE = 0.9
 # Per-entry cost of walking a chained scatter-gather descriptor list at
 # the receiver (far cheaper than a full per-message descriptor cycle).
 _BATCH_UNBUNDLE_NS = 120
+
+
+def _unbundle_ns(sizes: Optional[List[int]]) -> int:
+    """Receiver cost of walking a chained list (0 for one message)."""
+    return 0 if sizes is None else _BATCH_UNBUNDLE_NS * len(sizes)
+
+
+def _host_site(channel: Channel) -> Optional[HostSite]:
+    """The channel's host endpoint site, if it has one."""
+    return next((e.site for e in channel.endpoints
+                 if isinstance(e.site, HostSite)), None)
+
+
+def _copy_in(kernel, channel: Channel, host: ExecutionSite, size: int
+             ) -> Generator[Event, None, None]:
+    """Copy-mode bounce: user buffer -> kernel buffer before the send."""
+    if channel.config.buffering is not Buffering.COPY:
+        return
+    if kernel is not None:
+        yield from kernel.copy_from_user(size, context="channel")
+    else:
+        yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
+                                context="channel")
+
+
+def _copy_out(kernel, channel: Channel, host: Optional[ExecutionSite],
+              size: int) -> Generator[Event, None, None]:
+    """Copy-mode bounce: kernel buffer -> user buffer after delivery."""
+    if channel.config.buffering is not Buffering.COPY or host is None:
+        return
+    if kernel is not None:
+        yield from kernel.copy_to_user(size, context="channel")
+    else:
+        yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
+                                context="channel")
 
 
 @dataclass(frozen=True)
@@ -133,36 +176,31 @@ class LoopbackProvider(ChannelProvider):
                  destinations: List[Endpoint], size_bytes: int
                  ) -> Generator[Event, None, None]:
         """Pointer handoff, or a local copy through the L2 in copy mode."""
-        site = source.site
-        if channel.config.buffering is Buffering.DIRECT:
-            yield from site.execute(_POINTER_HANDOFF_NS, context="channel")
-            return
-        cost = round(size_bytes * _LOCAL_COPY_NS_PER_BYTE) or 1
-        if isinstance(site, HostSite):
-            # A copying local channel streams through the L2 like memcpy.
-            self.machine.l2.touch_range(0x3000_0000, size_bytes)
-            self.machine.l2.touch_range(0x3400_0000, size_bytes, write=True)
-        yield from site.execute(cost, context="channel")
+        yield from self._move(channel, source, size_bytes, None)
 
     def transfer_vectored(self, channel: Channel, source: Endpoint,
                           destinations: List[Endpoint], batch: CallBatch
                           ) -> Generator[Event, None, None]:
         """One handoff (or one bulk copy) for the whole batch."""
+        yield from self._move(channel, source, batch.size_bytes,
+                              batch.entry_sizes())
+
+    def _move(self, channel: Channel, source: Endpoint, size: int,
+              sizes: Optional[List[int]]) -> Generator[Event, None, None]:
+        # One handoff (or one bulk copy) publishes a batch's whole
+        # chained list; each receiver walks the per-entry descriptors.
         site = source.site
+        unbundle = _unbundle_ns(sizes)
         if channel.config.buffering is Buffering.DIRECT:
-            # A single pointer handoff publishes the chained list; each
-            # receiver walks the per-entry descriptors.
-            yield from site.execute(
-                _POINTER_HANDOFF_NS + _BATCH_UNBUNDLE_NS * batch.count,
-                context="channel")
+            yield from site.execute(_POINTER_HANDOFF_NS + unbundle,
+                                    context="channel")
             return
-        total = batch.size_bytes
-        cost = round(total * _LOCAL_COPY_NS_PER_BYTE) or 1
+        cost = round(size * _LOCAL_COPY_NS_PER_BYTE) or 1
         if isinstance(site, HostSite):
-            self.machine.l2.touch_range(0x3000_0000, total)
-            self.machine.l2.touch_range(0x3400_0000, total, write=True)
-        yield from site.execute(cost + _BATCH_UNBUNDLE_NS * batch.count,
-                                context="channel")
+            # A copying local channel streams through the L2 like memcpy.
+            self.machine.l2.touch_range(0x3000_0000, size)
+            self.machine.l2.touch_range(0x3400_0000, size, write=True)
+        yield from site.execute(cost + unbundle, context="channel")
 
 
 class DmaChannelProvider(ChannelProvider):
@@ -212,12 +250,7 @@ class DmaChannelProvider(ChannelProvider):
                  destinations: List[Endpoint], size_bytes: int
                  ) -> Generator[Event, None, None]:
         """The Figure-6 path: pin/copy, descriptor, DMA, completion."""
-        to_device = isinstance(source.site, HostSite)
-        size = max(1, size_bytes)
-        if to_device:
-            yield from self._host_to_device(channel, source, size)
-        else:
-            yield from self._device_to_host(channel, source, size)
+        yield from self._move(channel, source, max(1, size_bytes), None)
 
     def transfer_vectored(self, channel: Channel, source: Endpoint,
                           destinations: List[Endpoint], batch: CallBatch
@@ -226,111 +259,60 @@ class DmaChannelProvider(ChannelProvider):
 
         The ring sees a *single* chained descriptor; the DMA engine
         gathers every entry in one bus transaction
-        (:meth:`~repro.hw.device.ProgrammableDevice.dma_from_host_vectored`).
-        Devices without the ``scatter-gather`` feature fall back to the
-        per-entry loop.
+        (:meth:`~repro.hw.device.ProgrammableDevice.dma_from_host_vectored`),
+        and one completion interrupt covers the batch — interrupt
+        mitigation falls straight out of coalescing.  Devices without
+        the ``scatter-gather`` feature fall back to the per-entry loop.
         """
         if not self.device.supports_vectored_dma:
             yield from ChannelProvider.transfer_vectored(
                 self, channel, source, destinations, batch)
             return
-        sizes = batch.entry_sizes()
-        to_device = isinstance(source.site, HostSite)
-        if to_device:
-            host = source.site
-            if channel.config.buffering is Buffering.COPY:
-                if self.kernel is not None:
-                    yield from self.kernel.copy_from_user(
-                        batch.size_bytes, context="channel")
-                else:
-                    yield from host.execute(
-                        round(batch.size_bytes * _LOCAL_COPY_NS_PER_BYTE),
-                        context="channel")
-            else:
-                region = yield from self.memory.pin(self._pin_cursor,
-                                                    batch.size_bytes)
-                del region
-            yield from host.execute(_DESCRIPTOR_HOST_NS, context="channel")
-            ring: DescriptorRing = channel.in_ring
-            while not ring.post(Descriptor(address=self._pin_cursor,
-                                           length=batch.size_bytes)):
-                yield host.sim.timeout(2_000)
-            yield from self.device.dma_from_host_vectored(sizes)
-            ring.consume()
-            yield from self.device.run_on_device(
-                _DESCRIPTOR_DEVICE_NS + _BATCH_UNBUNDLE_NS * batch.count,
-                context="channel")
-        else:
-            yield from self.device.run_on_device(_DESCRIPTOR_DEVICE_NS,
-                                                 context="channel")
-            ring = channel.out_ring
-            while not ring.post(Descriptor(address=0,
-                                           length=batch.size_bytes)):
-                yield self.device.sim.timeout(2_000)
-            yield from self.device.dma_to_host_vectored(sizes)
-            ring.consume()
-            # One completion interrupt covers the whole batch — interrupt
-            # mitigation falls straight out of coalescing.
-            if self.kernel is not None and channel.config.priority > 0:
-                yield from self.kernel.isr()
-            if channel.config.buffering is Buffering.COPY:
-                if self.kernel is not None:
-                    yield from self.kernel.copy_to_user(
-                        batch.size_bytes, context="channel")
-                else:
-                    host = next((e.site for e in channel.endpoints
-                                 if isinstance(e.site, HostSite)), None)
-                    if host is not None:
-                        yield from host.execute(
-                            round(batch.size_bytes * _LOCAL_COPY_NS_PER_BYTE),
-                            context="channel")
+        yield from self._move(channel, source, batch.size_bytes,
+                              batch.entry_sizes())
 
-    def _host_to_device(self, channel: Channel, source: Endpoint,
-                        size: int) -> Generator[Event, None, None]:
-        host = source.site
-        if channel.config.buffering is Buffering.COPY:
-            if self.kernel is not None:
-                yield from self.kernel.copy_from_user(size, context="channel")
-            else:
-                yield from host.execute(
-                    round(size * _LOCAL_COPY_NS_PER_BYTE), context="channel")
+    def _move(self, channel: Channel, source: Endpoint, size: int,
+              sizes: Optional[List[int]]) -> Generator[Event, None, None]:
+        if isinstance(source.site, HostSite):
+            yield from self._host_to_device(channel, source.site, size, sizes)
         else:
-            # Pin the user buffer (refcounted; hot buffers amortise).
-            region = yield from self.memory.pin(self._pin_cursor, size)
-            del region  # unpinned on channel close in a full teardown
+            yield from self._device_to_host(channel, size, sizes)
+
+    def _host_to_device(self, channel: Channel, host: HostSite, size: int,
+                        sizes: Optional[List[int]]
+                        ) -> Generator[Event, None, None]:
+        yield from _copy_in(self.kernel, channel, host, size)
+        if channel.config.buffering is Buffering.DIRECT:
+            # Pin the user buffer (refcounted; hot buffers amortise);
+            # unpinned on channel close in a full teardown.
+            yield from self.memory.pin(self._pin_cursor, size)
         yield from host.execute(_DESCRIPTOR_HOST_NS, context="channel")
         ring: DescriptorRing = channel.in_ring
         while not ring.post(Descriptor(address=self._pin_cursor, length=size)):
             # Reliable semantics: wait for the device to drain a slot.
             yield host.sim.timeout(2_000)
-        yield from self.device.dma_from_host(size)
+        yield from (self.device.dma_from_host(size) if sizes is None
+                    else self.device.dma_from_host_vectored(sizes))
         ring.consume()
-        yield from self.device.run_on_device(_DESCRIPTOR_DEVICE_NS,
-                                             context="channel")
+        yield from self.device.run_on_device(
+            _DESCRIPTOR_DEVICE_NS + _unbundle_ns(sizes), context="channel")
 
-    def _device_to_host(self, channel: Channel, source: Endpoint,
-                        size: int) -> Generator[Event, None, None]:
+    def _device_to_host(self, channel: Channel, size: int,
+                        sizes: Optional[List[int]]
+                        ) -> Generator[Event, None, None]:
         yield from self.device.run_on_device(_DESCRIPTOR_DEVICE_NS,
                                              context="channel")
         ring: DescriptorRing = channel.out_ring
         while not ring.post(Descriptor(address=0, length=size)):
             yield self.device.sim.timeout(2_000)
-        yield from self.device.dma_to_host(size)
+        yield from (self.device.dma_to_host(size) if sizes is None
+                    else self.device.dma_to_host_vectored(sizes))
         ring.consume()
         # "optionally notifies the application using an event (usually
         # interrupt)" — high-priority channels interrupt, OOB ones poll.
         if self.kernel is not None and channel.config.priority > 0:
             yield from self.kernel.isr()
-        if channel.config.buffering is Buffering.COPY:
-            if self.kernel is not None:
-                yield from self.kernel.copy_to_user(size, context="channel")
-            else:
-                host = next((e.site for e in channel.endpoints
-                             if isinstance(e.site, HostSite)), None)
-                if host is not None:
-                    yield from host.execute(
-                        round(size * _LOCAL_COPY_NS_PER_BYTE),
-                        context="channel")
+        yield from _copy_out(self.kernel, channel, _host_site(channel), size)
 
 
 class PeerDmaProvider(ChannelProvider):
@@ -367,31 +349,7 @@ class PeerDmaProvider(ChannelProvider):
                  destinations: List[Endpoint], size_bytes: int
                  ) -> Generator[Event, None, None]:
         """Device-to-device DMA; hardware multicast when available."""
-        src_dev = self._device_of(source.site)
-        if src_dev is None:
-            raise ProviderError("peer provider used from a host endpoint")
-        size = max(1, size_bytes)
-        yield from src_dev.run_on_device(_DESCRIPTOR_DEVICE_NS,
-                                         context="channel")
-        dst_names = []
-        for destination in destinations:
-            dst_dev = self._device_of(destination.site)
-            if dst_dev is None:
-                raise ProviderError("peer provider reached a host endpoint")
-            dst_names.append(dst_dev.name)
-        if len(dst_names) == 1:
-            yield from src_dev.dma_to_peer(dst_names[0], size)
-        elif src_dev.spec.has_feature("multicast-hw"):
-            # "a multicast channel can utilize hardware features, if
-            # available, to send a single request to multiple recipients"
-            yield from src_dev.bus.multicast_transfer(
-                src_dev.name, dst_names, size)
-        else:
-            for name in dst_names:
-                yield from src_dev.dma_to_peer(name, size)
-        for destination in destinations:
-            yield from destination.site.execute(_DESCRIPTOR_DEVICE_NS,
-                                                context="channel")
+        yield from self._move(source, destinations, max(1, size_bytes), None)
 
     def transfer_vectored(self, channel: Channel, source: Endpoint,
                           destinations: List[Endpoint], batch: CallBatch
@@ -401,14 +359,23 @@ class PeerDmaProvider(ChannelProvider):
         Multicast batches combine the two hardware tricks: a single
         chained-descriptor transfer that every recipient snoops.
         """
-        src_dev = self._device_of(source.site)
-        if src_dev is None:
-            raise ProviderError("peer provider used from a host endpoint")
-        if not src_dev.supports_vectored_dma:
+        if not self._source_device(source).supports_vectored_dma:
             yield from ChannelProvider.transfer_vectored(
                 self, channel, source, destinations, batch)
             return
-        sizes = batch.entry_sizes()
+        yield from self._move(source, destinations, batch.size_bytes,
+                              batch.entry_sizes())
+
+    def _source_device(self, source: Endpoint) -> ProgrammableDevice:
+        src_dev = self._device_of(source.site)
+        if src_dev is None:
+            raise ProviderError("peer provider used from a host endpoint")
+        return src_dev
+
+    def _move(self, source: Endpoint, destinations: List[Endpoint],
+              size: int, sizes: Optional[List[int]]
+              ) -> Generator[Event, None, None]:
+        src_dev = self._source_device(source)
         yield from src_dev.run_on_device(_DESCRIPTOR_DEVICE_NS,
                                          context="channel")
         dst_names = []
@@ -417,18 +384,19 @@ class PeerDmaProvider(ChannelProvider):
             if dst_dev is None:
                 raise ProviderError("peer provider reached a host endpoint")
             dst_names.append(dst_dev.name)
-        if len(dst_names) == 1:
-            yield from src_dev.dma_to_peer_vectored(dst_names[0], sizes)
-        elif src_dev.spec.has_feature("multicast-hw"):
-            # The batch is already one contiguous chained list, so the
-            # hardware-multicast transaction carries it whole.
+        if len(dst_names) > 1 and src_dev.spec.has_feature("multicast-hw"):
+            # "a multicast channel can utilize hardware features, if
+            # available, to send a single request to multiple recipients"
+            # — a batch is already one contiguous chained list, so the
+            # multicast transaction carries it whole.
             yield from src_dev.bus.multicast_transfer(
-                src_dev.name, dst_names, batch.size_bytes,
-                entries=len(sizes))
+                src_dev.name, dst_names, size,
+                entries=0 if sizes is None else len(sizes))
         else:
             for name in dst_names:
-                yield from src_dev.dma_to_peer_vectored(name, sizes)
+                yield from (src_dev.dma_to_peer(name, size) if sizes is None
+                            else src_dev.dma_to_peer_vectored(name, sizes))
         for destination in destinations:
             yield from destination.site.execute(
-                _DESCRIPTOR_DEVICE_NS + _BATCH_UNBUNDLE_NS * batch.count,
+                _DESCRIPTOR_DEVICE_NS + _unbundle_ns(sizes),
                 context="channel")

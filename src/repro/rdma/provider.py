@@ -26,14 +26,14 @@ The provider serves two publics:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.errors import DeviceFailedError, RdmaError
 from repro.core.call import CallBatch
 from repro.core.channel import Buffering, Channel, Endpoint
 from repro.core.memory import MemoryManager
-from repro.core.providers import (ChannelProvider, CostMetric,
-                                  _LOCAL_COPY_NS_PER_BYTE)
+from repro.core.providers import (ChannelProvider, CostMetric, _copy_in,
+                                  _copy_out, _host_site)
 from repro.core.sites import ExecutionSite, HostSite
 from repro.hw.device import ProgrammableDevice
 from repro.hw.machine import Machine
@@ -137,43 +137,7 @@ class RdmaProvider(ChannelProvider):
         rings the doorbell; the engine moves the payload; the receiving
         side pays one CQ poll.  No descriptor rings, no ISR.
         """
-        size = max(1, size_bytes)
-        to_device = isinstance(source.site, HostSite)
-        posted_here = 0
-        try:
-            if to_device:
-                yield from self._copy_in(channel, source.site, size)
-                yield from source.site.execute(POST_WR_NS + DOORBELL_NS,
-                                               context="rdma-channel")
-                self._count(posted=1, writes=1, doorbells=1,
-                            bytes_written=size)
-                posted_here = 1
-                yield from self.device.run_on_device(WR_ENGINE_NS,
-                                                     context="rdma-channel")
-                yield from self.device.dma_from_host(size)
-                # The target's poll loop notices the landed payload.
-                yield from self.device.run_on_device(CQ_POLL_NS,
-                                                     context="rdma-channel")
-            else:
-                yield from self.device.run_on_device(
-                    POST_WR_NS + DOORBELL_NS + WR_ENGINE_NS,
-                    context="rdma-channel")
-                self._count(posted=1, writes=1, doorbells=1,
-                            bytes_written=size)
-                posted_here = 1
-                yield from self.device.dma_to_host(size)
-                host = self._host_site(channel)
-                if host is not None:
-                    yield from host.execute(CQ_POLL_NS,
-                                            context="rdma-channel")
-                yield from self._copy_out(channel, host, size)
-        except DeviceFailedError:
-            # The WR was posted but the engine died: account it failed
-            # so `posted == completed + failed` survives the crash, then
-            # let the channel's retry/drop machinery see the error.
-            self.counters.failed.inc(posted_here)
-            raise
-        self.counters.completed.inc()
+        yield from self._move(channel, source, max(1, size_bytes), None)
 
     def transfer_vectored(self, channel: Channel, source: Endpoint,
                           destinations: List[Endpoint], batch: CallBatch
@@ -190,39 +154,46 @@ class RdmaProvider(ChannelProvider):
             yield from ChannelProvider.transfer_vectored(
                 self, channel, source, destinations, batch)
             return
-        sizes = batch.entry_sizes()
-        count = batch.count
-        to_device = isinstance(source.site, HostSite)
+        yield from self._move(channel, source, batch.size_bytes,
+                              batch.entry_sizes())
+
+    def _move(self, channel: Channel, source: Endpoint, size: int,
+              sizes: Optional[List[int]]) -> Generator[Event, None, None]:
+        """``count`` WRs (one per batch entry) behind a single doorbell."""
+        count = 1 if sizes is None else len(sizes)
         posted_here = 0
         try:
-            if to_device:
-                yield from self._copy_in(channel, source.site,
-                                         batch.size_bytes)
+            if isinstance(source.site, HostSite):
+                yield from _copy_in(self.kernel, channel, source.site, size)
                 yield from source.site.execute(
-                    POST_WR_NS * count + DOORBELL_NS,
-                    context="rdma-channel")
-                self._count(posted=count, writes=count, doorbells=1,
-                            bytes_written=batch.size_bytes)
+                    POST_WR_NS * count + DOORBELL_NS, context="rdma-channel")
+                self._count(count, size)
                 posted_here = count
                 yield from self.device.run_on_device(WR_ENGINE_NS * count,
                                                      context="rdma-channel")
-                yield from self.device.dma_from_host_vectored(sizes)
+                yield from (self.device.dma_from_host(size) if sizes is None
+                            else self.device.dma_from_host_vectored(sizes))
+                # The target's poll loop notices the landed payload.
                 yield from self.device.run_on_device(CQ_POLL_NS,
                                                      context="rdma-channel")
             else:
                 yield from self.device.run_on_device(
                     POST_WR_NS * count + DOORBELL_NS + WR_ENGINE_NS * count,
                     context="rdma-channel")
-                self._count(posted=count, writes=count, doorbells=1,
-                            bytes_written=batch.size_bytes)
+                self._count(count, size)
                 posted_here = count
-                yield from self.device.dma_to_host_vectored(sizes)
-                host = self._host_site(channel)
+                yield from (self.device.dma_to_host(size) if sizes is None
+                            else self.device.dma_to_host_vectored(sizes))
+                host = _host_site(channel)
                 if host is not None:
                     yield from host.execute(CQ_POLL_NS,
                                             context="rdma-channel")
-                yield from self._copy_out(channel, host, batch.size_bytes)
+                yield from _copy_out(self.kernel, channel, host, size)
         except DeviceFailedError:
+            # The WRs were posted but the engine died: account them
+            # failed so `posted == completed + failed` survives the
+            # crash, then let the channel's retry/drop machinery see
+            # the error.
             self.counters.failed.inc(posted_here)
             raise
         self.counters.completed.inc(count)
@@ -285,33 +256,9 @@ class RdmaProvider(ChannelProvider):
 
     # -- internals --------------------------------------------------------------------
 
-    def _count(self, posted: int, writes: int, doorbells: int,
-               bytes_written: int) -> None:
-        self.counters.posted.inc(posted)
+    def _count(self, writes: int, bytes_written: int) -> None:
+        """Post ``writes`` write WRs behind one doorbell."""
+        self.counters.posted.inc(writes)
         self.counters.writes.inc(writes)
-        self.counters.doorbells.inc(doorbells)
+        self.counters.doorbells.inc()
         self.counters.bytes_written.inc(bytes_written)
-
-    def _host_site(self, channel: Channel) -> Optional[HostSite]:
-        return next((e.site for e in channel.endpoints
-                     if isinstance(e.site, HostSite)), None)
-
-    def _copy_in(self, channel: Channel, host, size: int
-                 ) -> Generator[Event, None, None]:
-        if channel.config.buffering is not Buffering.COPY:
-            return
-        if self.kernel is not None:
-            yield from self.kernel.copy_from_user(size, context="channel")
-        else:
-            yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
-                                    context="channel")
-
-    def _copy_out(self, channel: Channel, host, size: int
-                  ) -> Generator[Event, None, None]:
-        if channel.config.buffering is not Buffering.COPY or host is None:
-            return
-        if self.kernel is not None:
-            yield from self.kernel.copy_to_user(size, context="channel")
-        else:
-            yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
-                                    context="channel")

@@ -1130,7 +1130,16 @@ class Simulator:
             raise SchedulingError(
                 f"run(until={until}) is in the past (now={self.now})")
         if self._profiler is not None:
-            self._run_profiled(until)
+            # Profiled runs take the per-event path, so the profiler
+            # attributes wall time to each dispatch.
+            horizon = _INF if until is None else until
+            while True:
+                upcoming = self.peek()
+                if upcoming is None or upcoming > horizon:
+                    break
+                self.step()
+            if until is not None and self.now < until:
+                self.now = until
             return
         # The dispatch bodies are inlined here: at ~100 ns of call
         # overhead per event, indirection would cost ~20 % of a typical
@@ -1264,55 +1273,6 @@ class Simulator:
             self.fused_resumes += fused
             if telem:
                 self._active_process = None
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_profiled(self, until: Optional[int]) -> None:
-        """The run loop with a profiler attached: per-event dispatch goes
-        through :meth:`SimProfiler.observe` / ``observe_cont`` so wall
-        time is attributed.  Keep semantics in lockstep with run().
-        """
-        horizon = _INF if until is None else until
-        active = self._active
-        while True:
-            pos = self._active_pos
-            if pos >= len(active):
-                if not self._refill(horizon):
-                    break
-                continue
-            entry = active[pos]
-            when = entry[0]
-            if when > horizon:
-                break
-            if pos >= 4096:
-                del active[:pos]
-                pos = 0
-            self._active_pos = pos + 1
-            if when < self.now:
-                raise SchedulingError(
-                    "event queue corrupted: time went backwards")
-            self.now = when
-            self.events_processed += 1
-            seq = entry[2]
-            obj = entry[3]
-            profiler = self._profiler   # may detach mid-run
-            if obj._cont_seq == seq:
-                if profiler is None:
-                    self._resume_cont(obj)
-                else:
-                    profiler.observe_cont(obj)
-                continue
-            stale = obj._stale_seqs
-            if stale is not None and seq in stale:
-                stale.discard(seq)
-                self.dead_timers -= 1
-                continue
-            if profiler is None:
-                obj._process()
-            else:
-                profiler.observe(obj)
-            if obj._ok is False and not obj.defused and not obj.callbacks:
-                raise obj._value
         if until is not None and self.now < until:
             self.now = until
 

@@ -25,6 +25,7 @@ from repro.core import (
     SyncMode,
     WatchdogConfig,
 )
+from repro.core.call import CallBatch
 from repro.core.odf import DeviceClassFilter, OdfDocument, OdfImport
 from repro.core.guid import Guid
 from repro.core.layout.constraints import ConstraintType
@@ -338,6 +339,42 @@ def test_channel_noise_filter_and_stats(world):
     sim.run_until_event(sim.spawn(reader()))
     assert isinstance(out["payload"], CorruptedPayload)
     assert out["payload"].original == "payload"
+
+
+def _noisy_batch(world, verdict, entries=5):
+    """Send one ``entries``-long batch over an unreliable channel whose
+    filter always rules ``verdict``; return (channel, fault records)."""
+    sim, machine, runtime = world
+    config = (ChannelConfig.unicast().unreliable().unordered().copied()
+              .labeled("noisy-batch"))
+    channel = runtime.executive.create_channel(config, runtime.host_site)
+    runtime.executive.connect_site(channel,
+                                   runtime.device_runtime("nic0").site)
+    channel.set_fault_filter(lambda message: verdict)
+    sim.tracer = Tracer(sim, categories={"fault"})
+    batch = CallBatch()
+    for index in range(entries):
+        batch.add(("entry", index), 64, now_ns=sim.now)
+    sim.run_until_event(sim.spawn(
+        channel.send_vectored(channel.creator_endpoint, batch)))
+    return channel, [r.message for r in sim.tracer.of_category("fault")]
+
+
+def test_corrupt_batched_frames_leave_one_fault_record_each(world):
+    channel, faults = _noisy_batch(world, "corrupt")
+    # The same record a corrupted single message leaves, once per entry.
+    assert faults == [
+        f"#{channel.channel_id} message corrupted in flight"] * 5
+    stats = channel.stats()
+    assert (stats.sent, stats.corrupted, stats.delivered) == (5, 5, 5)
+
+
+def test_dropped_batched_frames_use_the_single_message_record(world):
+    channel, faults = _noisy_batch(world, "drop")
+    assert faults == [
+        f"#{channel.channel_id} message dropped in flight"] * 5
+    stats = channel.stats()
+    assert (stats.sent, stats.dropped, stats.delivered) == (5, 5, 0)
 
 
 def test_fault_filter_on_reliable_channel_arms_retransmit(world):

@@ -12,6 +12,8 @@ vectored-batch variant.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ChannelError
 from repro.core import (
@@ -20,6 +22,7 @@ from repro.core import (
     RetransmitConfig,
 )
 from repro.core.call import CallBatch
+from repro.core.channel import conservation
 from repro.hw import Machine
 from repro.sim import Simulator
 
@@ -293,3 +296,50 @@ def test_multicast_reliable_delivers_to_every_endpoint():
     assert stats.delivered == 1
     assert stats.retransmits == 1
     assert stats.sent == stats.delivered + stats.dropped
+
+
+# -- exactly-once, property-checked ---------------------------------------------------
+
+VERDICTS = st.sampled_from(["drop", "corrupt", None])
+
+
+@given(ops=st.lists(st.one_of(st.just(1), st.integers(2, 6)),
+                    min_size=1, max_size=8),
+       noise=st.lists(VERDICTS, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_reliable_channel_delivers_exactly_once_in_order(ops, noise):
+    """Single writes (``1``) and vectored batches (``2..6`` entries) over
+    a sequential reliable channel whose filter rules a random finite
+    verdict sequence, then clean frames.  The filter sees data frames
+    and acks alike, so a verdict that lands on an ack is an ack loss."""
+    sim = Simulator()
+    machine = Machine(sim)
+    machine.add_nic()
+    runtime = HydraRuntime(machine)
+    channel, device_ep = make_channel(runtime)
+    verdicts = iter(noise)
+    channel.set_fault_filter(lambda message: next(verdicts, None))
+    got = []
+    sim.spawn(drain(device_ep, got)())
+    sent = []
+
+    def writer():
+        source = channel.creator_endpoint
+        for count in ops:
+            payloads = [("m", len(sent) + i) for i in range(count)]
+            sent.extend(payloads)
+            if count == 1:
+                yield from source.write(payloads[0], 96)
+                continue
+            batch = CallBatch()
+            for payload in payloads:
+                batch.add(payload, 96, now_ns=sim.now)
+            yield from channel.send_vectored(source, batch)
+
+    sim.run_until_event(sim.spawn(writer()))
+    stats = channel.stats()
+    assert got == sent
+    assert stats.delivered == len(sent)
+    assert conservation([channel])[1] == []
+    assert stats.sent == len(sent) + stats.retransmits
+    assert channel.unacked_messages() == []
