@@ -22,6 +22,11 @@ Two kinds of assertion, split by what wall-clock noise can touch:
 
 The *enabled* cost is reported in the published artifact, not gated:
 tracing is an opt-in diagnostic mode.
+
+``PRE_TELEMETRY_EVENTS_PER_SEC`` was measured when the run took 93,048
+events with the eager kernel tick process; the lazy tick simulates the
+same run in fewer events, so the live floor is stated as the wall time
+of the fixed 5 s run, the same gate while the count was 93,048.
 """
 
 import json
@@ -31,8 +36,11 @@ from conftest import publish
 from harness import (
     DEFAULT_BENCH_JSON,
     PRE_TELEMETRY_EVENTS_PER_SEC,
+    bench_engine_micro_telemetry,
     run_all,
 )
+
+from tests.eager_ticks import eager_ticks
 
 
 def test_bench_telemetry_overhead(one_shot):
@@ -52,14 +60,19 @@ def test_bench_telemetry_overhead(one_shot):
 
     # Telemetry observes, never perturbs: identical simulated work
     # whether the hub is attached or not (no events, no clock skew).
-    assert disabled["events"] == 93_048
-    assert enabled["events"] == 93_048
+    assert disabled["events"] == 51_059
+    assert enabled["events"] == 51_059
     assert disabled["sim_ns"] == enabled["sim_ns"] == 5_000_000_000
+    # ... and so does the eager tick process, at its own count.
+    with eager_ticks():
+        eager = bench_engine_micro_telemetry()
+    assert eager["events"] == 93_048
+    assert eager["sim_ns"] == 5_000_000_000
     # Enabled tracing actually recorded the offload path.
     assert enabled["spans"] > 1_000
     # Live floor at the perf-smoke tolerance (30 %): catches a real
     # disabled-path pessimisation without flaking on host noise.
-    assert disabled["events_per_sec"] >= 0.70 * PRE_TELEMETRY_EVENTS_PER_SEC
+    assert disabled["wall_s"] <= 93_048 / (0.70 * PRE_TELEMETRY_EVENTS_PER_SEC)
 
     # The committed baseline carries the pinned <= 2 % budget.
     committed = json.loads(DEFAULT_BENCH_JSON.read_text())["benchmarks"]

@@ -5,6 +5,7 @@ OS artifacts the paper's evaluation depends on:
 
 * a **periodic timer tick** charging ISR time (the "system noise" of
   Tsafrir et al., cited by the paper for its timeliness argument);
+  the tick is *lazy* (see below);
 * **background daemons** reproducing the testbed's idle baseline
   (the paper's idle system shows 2.86 % CPU and a nonzero L2 miss rate
   that Figure 10 normalizes against);
@@ -17,6 +18,30 @@ OS artifacts the paper's evaluation depends on:
 Everything is parameterized by :class:`KernelConfig`; the defaults are
 calibrated so an otherwise-idle machine reproduces the paper's idle rows
 (Tables 3 and 4).
+
+The lazy tick
+-------------
+A tick runs the ISR for ``tick_cost_ns`` on the CPU, logs a touch of
+kernel text into the L2 model and counts itself; the next tick falls
+one tick period after the ISR ends.  Hosts are mostly idle, so almost
+every tick finds a free CPU that nobody looks at until the next CPU
+request, L2 access or utilization read.  The kernel therefore keeps
+only the time of its next tick, and every such use of the host (the
+:class:`~repro.hw.cpu.Cpu` and :class:`~repro.hw.cache.Cache` hooks)
+first brings the due ticks up to now, in order:
+
+* a tick whose CPU was idle and whose ISR ended by now is charged at
+  once (busy time, L2 touch, count) and costs no queue entry;
+* a tick whose CPU was idle and whose ISR is still running holds the
+  CPU from the tick's start, with one queue entry at its end;
+* a tick that finds the CPU busy joins the CPU's FIFO as a real
+  waiter, exactly as a tick process would.
+
+Ties at one instant follow one rule: the timer interrupt is taken first
+at its instant, both when the tick starts and when its ISR ends.  A job
+that asks for the CPU at the tick's start queues behind the ISR, and
+one that asks at its end finds the ISR gone.  Ticks of several hosts at
+one instant are taken in the order the kernels started.
 """
 
 from __future__ import annotations
@@ -33,6 +58,8 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 
 __all__ = ["KernelConfig", "BackgroundLoadConfig", "Kernel"]
+
+_NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -92,7 +119,15 @@ class Kernel:
                                   cpu=machine.cpu)
         self.cpu = machine.cpu
         self.l2: Cache = machine.l2
-        self.ticks = 0
+        self._ticks = 0
+        # The lazy tick (module docstring): the next tick's start, the
+        # end of the ISR holding the CPU (None when none does), and the
+        # time before which no hook has anything to do.
+        self._tick_ns = self.config.scheduler.tick_ns
+        self._next_tick = 0
+        self._tick_end: Optional[int] = None
+        self._due = _NEVER
+        self._priority = 0      # the tick's queue priority, set at start
         self.syscalls: Dict[str, int] = {}
         self._started = False
         # Rolling offsets so successive copies stream through the cache
@@ -106,26 +141,76 @@ class Kernel:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self, with_background: bool = True) -> None:
-        """Begin the tick loop and (optionally) the idle daemons."""
+        """Begin the timer tick and (optionally) the idle daemons."""
         if self._started:
             raise OSError_(f"kernel on {self.machine.name} already started")
         self._started = True
-        self.sim.spawn(self._tick_loop(), name=f"{self.machine.name}-ticks")
+        self._priority = self.sim._interrupt_priority()
+        self._start_ticks()
         if with_background:
             self.sim.spawn(self._background_loop(),
                            name=f"{self.machine.name}-daemons")
 
-    def _tick_loop(self) -> Generator[Event, None, None]:
-        tick = self.config.scheduler.tick_ns
-        while True:
-            # Bare-int yield: the allocation-free fused sleep (1 kHz per
-            # host — the single hottest timeout site in the simulation).
-            yield tick
-            self.ticks += 1
+    @property
+    def ticks(self) -> int:
+        """Timer ticks taken so far."""
+        self._catch_up()
+        return self._ticks
+
+    # -- the lazy timer tick --------------------------------------------------
+
+    def _start_ticks(self) -> None:
+        self._next_tick = self._due = self.sim.now + self._tick_ns
+        self.cpu._sync = self.l2._sync = self._catch_up
+
+    def _catch_up(self) -> None:
+        """Bring the timer tick up to now (module docstring)."""
+        now = self.sim.now
+        if now < self._due:
+            return
+        # Nothing is due while the ticks land: the L2 touch below comes
+        # straight back through the cache's hook.
+        self._due = _NEVER
+        cpu = self.cpu
+        cost = self.config.tick_cost_ns
+        if self._tick_end is not None:
+            # The ISR holding the CPU ends now: taken before anything
+            # else at this instant, it hands the CPU to the oldest waiter.
+            cpu._end_run(cost, "kernel-tick")
+            self._next_tick = self._tick_end + self._tick_ns
+            self._tick_end = None
+        start = self._next_tick
+        while start <= now:
+            self._ticks += 1
             # The tick handler touches a small slice of kernel text/data.
             self.l2.touch_range(self.config.kernel_text_base, 512)
-            yield from self.cpu.execute(self.config.tick_cost_ns,
-                                        context="kernel-tick")
+            if cpu.busy:
+                # Contended: queue for the CPU; _due stays _NEVER until
+                # the grant starts the ISR.
+                cpu._enqueue().callbacks.append(self._granted)
+                return
+            if start + cost > now:
+                # Still running: an ISR ending exactly now is done.
+                cpu._hold_from(start)
+                self._hold_until(start + cost)
+                return
+            cpu._charge_idle(cost, "kernel-tick")
+            start += cost + self._tick_ns
+        self._next_tick = self._due = start
+
+    def _granted(self, _event: Event) -> None:
+        self._hold_until(self.sim.now + self.config.tick_cost_ns)
+
+    def _hold_until(self, end: int) -> None:
+        """The ISR holds the CPU until ``end``: wake there, first."""
+        self._tick_end = self._due = end
+        wake = Event(self.sim)
+        wake.callbacks.append(self._end_isr)
+        wake._trigger(True, None, end - self.sim.now,
+                      priority=self._priority)
+
+    def _end_isr(self, _event: Event) -> None:
+        self._catch_up()
 
     def _background_loop(self) -> Generator[Event, None, None]:
         cfg = self.config.background

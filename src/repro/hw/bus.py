@@ -291,5 +291,13 @@ class Bus:
                    if HOST_MEMORY in (s, d))
 
     def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time the bus was occupied since ``since``."""
-        return self._arbiter.utilization(since)
+        """Busy time so far over the wall time from ``since`` to now.
+
+        The bus keeps no occupancy history, so busy time before
+        ``since`` is counted too: the result is a window's utilization
+        only for a window that opens before the bus's first transfer.
+        """
+        window = self.sim.now - since
+        if window <= 0:
+            return 0.0
+        return min(1.0, self._arbiter.busy_ns / window)

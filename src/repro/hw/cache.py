@@ -53,7 +53,7 @@ mechanisms keep this off the event loop's critical path:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import HardwareError
 
@@ -207,6 +207,9 @@ class Cache:
         # classification, and unresolved StatsPins into that log.
         self._oplog: List[Tuple[int, int, bool]] = []
         self._pins: List[StatsPin] = []
+        # Installed by the host kernel (repro.hostos.kernel): logs its
+        # due timer-tick touches before any other use of the cache.
+        self._sync: Optional[Callable[[], None]] = None
         self._set_mask = self.config.num_sets - 1
         self._line_shift = self.config.line_bytes.bit_length() - 1
         self._index_bits = self._set_mask.bit_length()
@@ -232,11 +235,17 @@ class Cache:
 
     # -- observation & laziness --------------------------------------------
 
+    def _settle(self) -> None:
+        """Log the host kernel's due ticks, then classify the whole log."""
+        if self._sync is not None:
+            self._sync()
+        if self._oplog:
+            self._drain()
+
     @property
     def stats(self) -> CacheStats:
         """Aggregate counters (exact: drains any deferred touches)."""
-        if self._oplog:
-            self._drain()
+        self._settle()
         return self._stats
 
     def stats_pin(self) -> StatsPin:
@@ -248,6 +257,8 @@ class Cache:
         eager accesses are interleaved, because every eager access
         drains the log first.
         """
+        if self._sync is not None:
+            self._sync()
         pin = StatsPin(self, len(self._oplog))
         if pin._index == 0:
             # Nothing pending: the snapshot is already known.
@@ -270,6 +281,8 @@ class Cache:
             raise HardwareError(f"negative range size: {size}")
         if base < 0:
             raise HardwareError(f"negative address: {base}")
+        if self._sync is not None:
+            self._sync()
         shift = self._line_shift
         log = self._oplog
         log.append((base >> shift, (base + size - 1) >> shift, write))
@@ -427,8 +440,7 @@ class Cache:
         """Access one address; return True on hit, False on miss."""
         if address < 0:
             raise HardwareError(f"negative address: {address}")
-        if self._oplog:
-            self._drain()
+        self._settle()
         line = address >> self._line_shift
         tag = line >> self._index_bits
         index = line & self._set_mask
@@ -476,8 +488,7 @@ class Cache:
         like :meth:`touch_range` and the log replayed at once, so eager
         and deferred ranges share one replay.
         """
-        if self._oplog:
-            self._drain()
+        self._settle()
         stats = self._stats
         hits, misses = stats.hits, stats.misses
         self.touch_range(base, size, write)
@@ -519,8 +530,7 @@ class Cache:
         """True if the line holding ``address`` is resident (no side effects)."""
         if address < 0:
             raise HardwareError(f"negative address: {address}")
-        if self._oplog:
-            self._drain()
+        self._settle()
         line = address >> self._line_shift
         index = line & self._set_mask
         tag = line >> self._index_bits
@@ -531,16 +541,14 @@ class Cache:
     @property
     def resident_lines(self) -> int:
         """Lines currently cached across all sets (sentinels excluded)."""
-        if self._oplog:
-            self._drain()
+        self._settle()
         if self._tags is not None:
             return int((self._tags >= 0).sum())
         return sum(sum(1 for t in d if t >= 0) for d in self._dictsets)
 
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines written back."""
-        if self._oplog:
-            self._drain()
+        self._settle()
         if self._tags is not None:
             dirty = int((self._dirty & (self._tags >= 0)).sum())
             self._tags[:] = _np.arange(-self._ways, 0, dtype=_np.int64)[:, None]

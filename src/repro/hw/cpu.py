@@ -12,7 +12,7 @@ utilization and break it down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import units
 from repro.errors import HardwareError, InterruptError
@@ -50,8 +50,12 @@ class Cpu:
         self.spec = spec or CpuSpec()
         self.name = name
         self._resource = Resource(sim, capacity=1)
-        self.busy_by_context: Dict[str, int] = {}
-        self.total_busy = 0
+        self._busy_by_context: Dict[str, int] = {}
+        self._total_busy = 0
+        # Installed by the host kernel (repro.hostos.kernel): brings its
+        # lazy timer ticks up to now before anything uses or observes
+        # the CPU, so due ticks always land first.
+        self._sync: Optional[Callable[[], None]] = None
 
     # -- execution ----------------------------------------------------------
 
@@ -65,21 +69,28 @@ class Cpu:
         """
         if duration_ns < 0:
             raise HardwareError(f"negative CPU work: {duration_ns}")
+        if self._sync is not None:
+            self._sync()
         request = self._resource.request()
         try:
             yield request
         except InterruptError:
             # Stopped while queued or just granted: never strand the slot.
+            # (No tick can be due here: a queued request leaves the FIFO
+            # without moving the CPU, and a slot not yet taken was handed
+            # over at this instant by a release that caught the ticks up.)
             self._resource.withdraw(request)
             raise
         try:
             # Bare-int yield: the engine's allocation-free fused sleep.
             yield duration_ns
         finally:
+            if self._sync is not None:
+                self._sync()
             self._resource.release()
-            self.total_busy += duration_ns
-            self.busy_by_context[context] = (
-                self.busy_by_context.get(context, 0) + duration_ns)
+            self._total_busy += duration_ns
+            self._busy_by_context[context] = (
+                self._busy_by_context.get(context, 0) + duration_ns)
 
     def execute_cycles(self, cycles: int, context: str = "anonymous"
                        ) -> Generator[Event, None, None]:
@@ -91,22 +102,80 @@ class Cpu:
     @property
     def busy(self) -> bool:
         """True while something is executing."""
+        if self._sync is not None:
+            self._sync()
         return self._resource.in_use > 0
 
     @property
     def queue_depth(self) -> int:
         """Jobs waiting for the CPU (excluding the current holder)."""
+        if self._sync is not None:
+            self._sync()
         return len(self._resource._waiters)
 
-    def utilization(self, since: int = 0) -> float:
-        """Busy fraction of wall time from ``since`` to now."""
-        return self._resource.utilization(since)
+    @property
+    def busy_ns(self) -> int:
+        """Time the CPU has been held so far, the current job included."""
+        if self._sync is not None:
+            self._sync()
+        return self._resource.busy_ns
+
+    @property
+    def total_busy(self) -> int:
+        """Work charged by finished jobs, in ns."""
+        if self._sync is not None:
+            self._sync()
+        return self._total_busy
+
+    @property
+    def busy_by_context(self) -> Dict[str, int]:
+        """Work charged by finished jobs, in ns per context label."""
+        if self._sync is not None:
+            self._sync()
+        return self._busy_by_context
+
+    def utilization(self) -> float:
+        """Busy fraction of wall time since t=0."""
+        if self._sync is not None:
+            self._sync()
+        return self._resource.utilization()
 
     def context_share(self, context: str) -> float:
         """Fraction of all busy time attributed to ``context``."""
-        if self.total_busy == 0:
+        total = self.total_busy
+        if total == 0:
             return 0.0
-        return self.busy_by_context.get(context, 0) / self.total_busy
+        return self._busy_by_context.get(context, 0) / total
+
+    # -- the lazy timer tick (repro.hostos.kernel) --------------------------
+
+    def _charge_idle(self, duration_ns: int, context: str) -> None:
+        """Charge work that ran and ended while the CPU was otherwise
+        idle, exactly as if :meth:`execute` had run it."""
+        self._resource.busy_time += duration_ns
+        self._charge(duration_ns, context)
+
+    def _hold_from(self, start: int) -> None:
+        """Hold the idle CPU from ``start`` (<= now) until :meth:`_end_run`."""
+        resource = self._resource
+        resource.in_use = 1
+        resource._busy_since = start
+
+    def _charge(self, duration_ns: int, context: str) -> None:
+        """Account finished work, as :meth:`execute` does on release."""
+        self._total_busy += duration_ns
+        by_context = self._busy_by_context
+        by_context[context] = by_context.get(context, 0) + duration_ns
+
+    def _end_run(self, duration_ns: int, context: str) -> None:
+        """Release a job started by :meth:`_hold_from` or granted by
+        :meth:`_enqueue`, handing the CPU to the oldest waiter."""
+        self._resource.release()
+        self._charge(duration_ns, context)
+
+    def _enqueue(self) -> Event:
+        """Join the FIFO of the busy CPU; the Event fires on the grant."""
+        return self._resource.request()
 
 
 class CpuSampler:
@@ -120,18 +189,12 @@ class CpuSampler:
         self.cpu = cpu
         self.samples: List[Tuple[int, float]] = []
         self._last_time = cpu.sim.now
-        self._last_busy = self._current_busy()
-
-    def _current_busy(self) -> int:
-        busy = self.cpu._resource.busy_time
-        if self.cpu._resource._busy_since is not None:
-            busy += self.cpu.sim.now - self.cpu._resource._busy_since
-        return busy
+        self._last_busy = cpu.busy_ns
 
     def sample(self) -> float:
         """Record and return utilization over the window just ended."""
         now = self.cpu.sim.now
-        busy = self._current_busy()
+        busy = self.cpu.busy_ns
         window = now - self._last_time
         util = (busy - self._last_busy) / window if window > 0 else 0.0
         self.samples.append((now, util))

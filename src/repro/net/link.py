@@ -81,6 +81,6 @@ class Link:
         return units.transfer_time_ns(packet.wire_bytes,
                                       self.spec.bandwidth_bps)
 
-    def utilization(self, since: int = 0) -> float:
+    def utilization(self) -> float:
         """Fraction of wall time the wire carried bits."""
-        return self._wire.utilization(since)
+        return self._wire.utilization()

@@ -116,6 +116,10 @@ PROCESSED = "processed"    # callbacks have run
 URGENT = 0
 NORMAL = 1
 FENCE = 2
+# Interrupt sources (the host kernels' timer ticks) queue below all of
+# these, so an interrupt is taken first at its instant; each source has
+# its own level, in the order it asked for one (_interrupt_priority).
+_INTERRUPT_BASE = -(1 << 30)
 
 # Timer-wheel geometry.  L0 covers [l0_base, l0_base + 65_536) ns in
 # 256 ns slots; one L1 slot spans exactly the whole L0 wheel
@@ -732,6 +736,7 @@ class Simulator:
         self._l1_occ = bytearray(_SLOTS)
         self._overflow: List = []
         self._active_process: Optional[Process] = None
+        self._interrupt_sources = 0
         # The blessed scheduling API (Clock.after/at/every/timeout/fence).
         self.clock = Clock(self)
         # Optional structured tracing (see repro.sim.trace.Tracer).
@@ -805,6 +810,13 @@ class Simulator:
     def detach_profiler(self) -> None:
         """Remove the profiler (the loop reverts to one check per event)."""
         self._profiler = None
+
+    def _interrupt_priority(self) -> int:
+        """A queue priority for a new interrupt source: its entries pop
+        before every other entry at their instant, and before those of
+        sources that asked later."""
+        self._interrupt_sources += 1
+        return _INTERRUPT_BASE + self._interrupt_sources
 
     # -- queue: inserts ----------------------------------------------------
 

@@ -207,15 +207,19 @@ class Resource:
                 self.busy_time += self.sim.now - self._busy_since
                 self._busy_since = None
 
-    def utilization(self, since: int = 0) -> float:
-        """Fraction of wall time with at least one holder, from ``since``."""
-        window = self.sim.now - since
-        if window <= 0:
+    @property
+    def busy_ns(self) -> int:
+        """Time with at least one holder so far, the open interval included."""
+        if self._busy_since is None:
+            return self.busy_time
+        return self.busy_time + self.sim.now - self._busy_since
+
+    def utilization(self) -> float:
+        """Fraction of wall time since t=0 with at least one holder."""
+        now = self.sim.now
+        if now <= 0:
             return 0.0
-        busy = self.busy_time
-        if self._busy_since is not None:
-            busy += self.sim.now - max(self._busy_since, since)
-        return min(1.0, busy / window)
+        return min(1.0, self.busy_ns / now)
 
 
 class Container:

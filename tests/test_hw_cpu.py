@@ -113,6 +113,26 @@ def test_sampler_windows():
     assert proc.processed
 
 
+def test_sampler_window_after_busy_start_is_idle():
+    """Busy over [0, 10), idle until 100: the window [50, 100) is idle.
+    Windowed utilization comes from the sampler's synced busy reads."""
+    sim = Simulator()
+    cpu = Cpu(sim)
+
+    def job(sim, cpu):
+        yield from cpu.execute(10, context="x")
+
+    sim.spawn(job(sim, cpu))
+    sim.run(until=50)
+    sampler = CpuSampler(cpu)
+    sim.run(until=100)
+    assert sampler.sample() == 0.0
+    assert cpu.busy_ns == 10
+    assert cpu.utilization() == pytest.approx(0.1)
+    with pytest.raises(TypeError):
+        cpu.utilization(50)
+
+
 def test_sampler_mid_busy_interval():
     sim = Simulator()
     cpu = Cpu(sim)

@@ -79,6 +79,8 @@ def test_link_delivers_after_delay():
     sim.run()
     assert out == [8500]
     assert link.packets_carried == 1
+    # The wire carried bits for 8000 of the 8500 ns.
+    assert link.utilization() == pytest.approx(8000 / 8500)
 
 
 def test_link_fifo_spreads_burst():

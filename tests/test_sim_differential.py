@@ -13,16 +13,25 @@ three ways:
   order-sensitive run fingerprints;
 * the ack/retransmit protocol at ``jitter=0``, whose deterministic
   backoff schedule is the paper-facing behaviour most sensitive to
-  timer reordering.
+  timer reordering;
+* random traces of sleeps, timeouts, one-shot and periodic timers,
+  cancellations, interrupts, resource holds, store puts/gets, fences
+  and reclaim sweeps, with delays on every wheel boundary, diffing
+  every step's time and the engine's counters.
 """
 
 import random
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import ChannelConfig, HydraRuntime
+from repro.errors import InterruptError, ProcessError
 from repro.faults.chaos import ChaosProfile, run_chaos_scenario
 from repro.hw import Machine
 from repro.sim import Simulator, Tracer
+from repro.sim.resources import Resource, Store
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.server import SimpleServer
 from repro.tivopc.testbed import Testbed, TestbedConfig
@@ -148,3 +157,125 @@ def test_retransmit_backoff_byte_identical_at_zero_jitter():
     assert wheel_stats == heap_stats
     assert wheel_stats[3] > 0           # the retransmit path actually fired
     assert wheel_records == heap_records
+
+
+# -- random schedule / cancel / interrupt traces ---------------------------------
+
+# Delays within a slot or two of a wheel boundary (L0 slot, L0 span, L1
+# span), so slots and windows fill with entries out of time order, and
+# arbitrary ones up to four times the L1 span (the overflow heap).
+_NEAR_BOUNDARY = st.builds(
+    lambda edge, offset: max(0, edge + offset),
+    st.sampled_from([0, 256, 65_536, 1 << 24]),
+    st.integers(min_value=-300, max_value=300))
+_DELAYS = st.one_of(_NEAR_BOUNDARY, _NEAR_BOUNDARY,
+                    st.integers(min_value=0, max_value=1 << 26))
+
+_OPS = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("sleep_value"), _DELAYS),
+    st.tuples(st.just("timeout"), _DELAYS),
+    st.tuples(st.just("timer"), _DELAYS),
+    st.tuples(st.just("every"), _DELAYS.map(lambda d: d + 1),
+              st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("hold"), _DELAYS),
+    st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("get")),
+    st.tuples(st.just("fence")),
+    st.tuples(st.just("reclaim")),
+)
+
+
+def _random_trace_run(scheduler, actors):
+    """Every step of every actor, with its time, and the engine's books."""
+    sim = Simulator(scheduler=scheduler)
+    store = Store(sim, capacity=2)
+    resource = Resource(sim)
+    log, timers, processes = [], [], []
+
+    def fire(tag):
+        def fn():
+            log.append((sim.now, "fire", tag))
+        return fn
+
+    def every(tag, count):
+        def fn():
+            log.append((sim.now, "every", tag))
+            if timer_box[tag].fires >= count:
+                timer_box[tag].cancel()
+        return fn
+
+    timer_box = {}
+
+    def actor(index, start, ops):
+        for step, op in enumerate([("sleep", start)] + ops):
+            tag = (index, step)
+            kind = op[0]
+            try:
+                if kind == "sleep":
+                    yield sim.clock.after(op[1])
+                elif kind == "sleep_value":
+                    got = yield sim.clock.after(op[1], value=tag)
+                    log.append((sim.now, "value", got))
+                elif kind == "timeout":
+                    yield sim.clock.timeout(op[1])
+                elif kind == "timer":
+                    timers.append(sim.clock.after(op[1], fire(tag)))
+                elif kind == "every":
+                    timer_box[tag] = sim.clock.every(op[1], every(tag, op[2]))
+                    timers.append(timer_box[tag])
+                elif kind == "cancel":
+                    if timers:
+                        log.append((sim.now, "cancel",
+                                    timers[op[1] % len(timers)].cancel()))
+                elif kind == "interrupt":
+                    target = processes[op[1] % len(processes)]
+                    try:
+                        target.interrupt(tag)
+                    except ProcessError:
+                        log.append((sim.now, "refused", tag))
+                elif kind == "hold":
+                    request = resource.request()
+                    try:
+                        yield request
+                    except InterruptError:
+                        resource.withdraw(request)
+                        raise
+                    try:
+                        yield sim.clock.after(op[1])
+                    finally:
+                        resource.release()
+                elif kind == "put":
+                    yield store.put((tag, op[1]))
+                elif kind == "get":
+                    got = yield store.get()
+                    log.append((sim.now, "got", got))
+                elif kind == "fence":
+                    yield sim.clock.fence()
+                else:
+                    # What a sweep finds is the scheduler's business (the
+                    # heap leaves everything in its active window).
+                    sim.reclaim()
+            except InterruptError as stop:
+                log.append((sim.now, "interrupted", tag, stop.args))
+            log.append((sim.now, "step", tag))
+
+    for index, (start, ops) in enumerate(actors):
+        processes.append(sim.spawn(actor(index, start, ops)))
+    sim.run(until=1 << 28)
+    return ((log, sim.now, sim.fused_resumes, [p.alive for p in processes]),
+            sim.events_processed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(actors=st.lists(
+    st.tuples(_DELAYS, st.lists(_OPS, max_size=16)), min_size=1, max_size=8))
+def test_random_traces_identical_on_heap_and_wheel(actors):
+    wheel, wheel_events = _random_trace_run("wheel", actors)
+    heap, heap_events = _random_trace_run("heap", actors)
+    assert wheel == heap
+    # The wheel takes a cancelled timer out of its slot in place; the
+    # heap drops it when it pops, which counts as a processed event.
+    assert wheel_events <= heap_events

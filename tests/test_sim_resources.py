@@ -200,6 +200,27 @@ def test_resource_utilization_tracking():
     assert res.utilization() == pytest.approx(0.3)
 
 
+def test_resource_utilization_spans_the_whole_run():
+    """Busy over [0, 10), idle until 100: 0.1 of the run.  The old
+    ``utilization(since)`` added busy time from t=0 to a window opening
+    at ``since`` (0.2 for since=50, where the window was idle); windows
+    are the samplers' job, so the parameter is gone."""
+    sim = Simulator()
+    res = Resource(sim)
+
+    def job(sim, res):
+        yield res.request()
+        yield sim.timeout(10)
+        res.release()
+
+    sim.spawn(job(sim, res))
+    sim.run(until=100)
+    assert res.busy_ns == 10
+    assert res.utilization() == pytest.approx(0.1)
+    with pytest.raises(TypeError):
+        res.utilization(50)
+
+
 def test_resource_utilization_counts_open_interval():
     sim = Simulator()
     res = Resource(sim)
