@@ -36,7 +36,7 @@ from repro.core.call import Call, CallBatch
 from repro.core.sites import ExecutionSite
 from repro.sim.engine import Event
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["ChannelKind", "Reliability", "SyncMode", "Buffering",
            "BatchConfig", "ChannelConfig", "ChannelStats",

@@ -29,7 +29,7 @@ from repro.errors import HydraError
 from repro.core import marshal
 from repro.core.offcode import Offcode, OffcodeState
 from repro.sim.engine import Event
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["Checkpoint", "CheckpointConfig", "CheckpointService",
            "CheckpointStore", "checkpointable", "capture_checkpoint"]

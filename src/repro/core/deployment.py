@@ -31,7 +31,7 @@ from repro.core.loader import LoadReport, OffcodeImage, compile_for_target
 from repro.core.odf import OdfDocument
 from repro.core.offcode import Offcode
 from repro.sim.engine import Event
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["DeploymentReport", "DeploymentPipeline", "OOB_CHANNEL_CONFIG"]
 

@@ -30,7 +30,7 @@ from repro.core.interfaces import IOFFCODE, InterfaceSpec
 from repro.core import marshal
 from repro.core.sites import ExecutionSite
 from repro.sim.engine import Event, Process
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["OffcodeState", "Offcode"]
 

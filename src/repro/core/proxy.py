@@ -27,7 +27,7 @@ from repro.core.call import Call, CallPolicy, make_call
 from repro.core.channel import Channel, Endpoint
 from repro.core.interfaces import InterfaceSpec
 from repro.sim.engine import Event
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["Proxy"]
 

@@ -64,7 +64,7 @@ from repro.resilience.migration import HoldingGate, MigrationRecord
 from repro.resilience.supervisor import Supervisor, SupervisorConfig
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource as SimResource
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["HydraRuntime", "DeploymentSpec", "DeploymentResult",
            "CleanupReport", "RecoveryIncident"]

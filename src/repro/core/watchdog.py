@@ -28,7 +28,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.errors import DeviceFailedError, HydraError
 from repro.core.channel import ChannelConfig, Endpoint
 from repro.sim.engine import Event
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["WatchdogConfig", "DeviceWatchdog"]
 

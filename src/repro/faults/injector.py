@@ -22,7 +22,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.hw.bus import Bus
 from repro.hw.device import ProgrammableDevice
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["FaultInjector"]
 

@@ -28,7 +28,7 @@ from repro import units
 from repro.errors import BusError, InterruptError
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["BusSpec", "Bus", "HOST_MEMORY", "TransferRecord"]
 

@@ -20,7 +20,7 @@ from repro.errors import DeviceError, DeviceFailedError, DeviceMemoryError
 from repro.hw.bus import HOST_MEMORY, Bus
 from repro.hw.cpu import Cpu, CpuSpec
 from repro.sim.engine import Event, Simulator
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = [
     "DeviceClass",

@@ -33,7 +33,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import HydraError
 from repro.resilience.admission import AdmissionController
-from repro.sim.trace import emit as trace_emit
+from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["SupervisorConfig", "SupervisorDecision", "Supervisor"]
 

@@ -27,7 +27,6 @@ from repro.sim.engine import (
 from repro.sim.profile import SimProfiler, profiled
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -43,7 +42,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "profiled",
 ]

@@ -46,7 +46,8 @@ so the per-event costs are engineered away:
   itself* as a queue entry and resumes its generator directly when the
   entry pops (no callback list, no trigger state machine).  The small
   :class:`_Deferred` request objects are recycled through a free list
-  (``event_pool_size`` bounds it, ``pool_recycled`` counts reuse).
+  (``Simulator.DEFAULT_POOL_SIZE`` bounds it, ``pool_recycled`` counts
+  reuse).
 * **Every wait satisfied at creation is fused the same way.**
   ``spawn()`` queues the new process itself as its start entry, and an
   uncontended ``Resource.request()`` or a ``Store.put()``/``get()``
@@ -695,19 +696,16 @@ class Clock:
 class Simulator:
     """The discrete-event engine: a clock plus an ordered event queue.
 
-    ``event_pool_size`` bounds the free list of recycled fused-sleep
-    handles (see :meth:`Clock.after`); 0 disables pooling entirely,
-    which the determinism tests use to prove pooling never changes a
-    run.  ``scheduler`` selects the queue implementation: ``"wheel"``
-    (default, hierarchical timer wheel) or ``"heap"`` (single binary
-    heap, the differential-test reference).  Both produce the identical
-    ``(time, priority, seq)`` pop order.
+    ``DEFAULT_POOL_SIZE`` bounds the free list of recycled fused-sleep
+    handles (see :meth:`Clock.after`).  ``scheduler`` selects the queue
+    implementation: ``"wheel"`` (default, hierarchical timer wheel) or
+    ``"heap"`` (single binary heap, the differential-test reference).
+    Both produce the identical ``(time, priority, seq)`` pop order.
     """
 
     DEFAULT_POOL_SIZE = 256
 
-    def __init__(self, event_pool_size: Optional[int] = None,
-                 scheduler: str = "wheel") -> None:
+    def __init__(self, scheduler: str = "wheel") -> None:
         if scheduler not in ("wheel", "heap"):
             raise ValueError(f"unknown scheduler {scheduler!r}; "
                              "expected 'wheel' or 'heap'")
@@ -739,16 +737,13 @@ class Simulator:
         self._interrupt_sources = 0
         # The blessed scheduling API (Clock.after/at/every/timeout/fence).
         self.clock = Clock(self)
-        # Optional structured tracing (see repro.sim.trace.Tracer).
-        self.tracer = None
         # Optional telemetry hub (see repro.telemetry.Telemetry); None
         # keeps every instrumented site at a single attribute check.
         self.telemetry = None
         # Optional hot-loop profiler (see repro.sim.profile.SimProfiler).
         self._profiler = None
         # Free list of recycled fused-sleep handles (_Deferred).
-        self._pool_limit = (self.DEFAULT_POOL_SIZE if event_pool_size is None
-                            else max(0, event_pool_size))
+        self._pool_limit = self.DEFAULT_POOL_SIZE
         self._deferred_pool: List[_Deferred] = []
         # Observability counters (cheap ints, always on).
         self.events_processed = 0

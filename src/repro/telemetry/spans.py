@@ -242,16 +242,9 @@ class Telemetry:
         return event
 
     def log(self, category: str, message: str, **fields: Any) -> None:
-        """Bridge for :func:`repro.sim.trace.emit` call sites.
-
-        Forwards to an attached :class:`~repro.sim.trace.Tracer` (the
-        legacy consumer keeps working unchanged) and keeps the record as
-        an instant on a per-category log track so Perfetto shows the
-        textual emits alongside the span tree.
-        """
-        tracer = getattr(self.sim, "tracer", None)
-        if tracer is not None:
-            tracer.emit(category, message, **fields)
+        """Keep a textual record (see :func:`emit`) as an instant on a
+        per-category ``log/<category>`` track, so Perfetto shows it
+        alongside the span tree."""
         self.instant(message, category, "log/" + category, **fields)
 
     # -- per-process dynamic context ----------------------------------------------
@@ -297,3 +290,21 @@ class Telemetry:
         for span in self.spans:
             out.setdefault(span.trace_id, set()).add(span.category)
         return out
+
+
+def emit(sim, category: str, message: str, **fields: Any) -> None:
+    """Record a textual event at ``sim``'s current time, if a hub listens.
+
+    Emit sites live where the offload path does work: channel writes,
+    retransmits and in-flight faults (``repro.core.channel``), proxy
+    deadline misses (``repro.core.proxy``), watchdog beats and death
+    declarations (``repro.core.watchdog``), recovery
+    (``repro.core.runtime``), bus transients (``repro.hw.bus``) and fault
+    injection (``repro.faults.injector``).  With a hub attached the
+    record becomes an instant on the ``log/<category>`` track of
+    ``sim.telemetry.events`` (see :meth:`Telemetry.log`); without one
+    this is one attribute check and a return.
+    """
+    telemetry = sim.telemetry
+    if telemetry is not None:
+        telemetry.log(category, message, **fields)

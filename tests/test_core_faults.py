@@ -32,7 +32,8 @@ from repro.core.layout.constraints import ConstraintType
 from repro.core.offcode import OffcodeState
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw import DeviceClass, Machine
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 IWORK = InterfaceSpec.from_methods(
     "IWork", (MethodSpec("Poke", params=(), result="int"),))
@@ -351,13 +352,13 @@ def _noisy_batch(world, verdict, entries=5):
     runtime.executive.connect_site(channel,
                                    runtime.device_runtime("nic0").site)
     channel.set_fault_filter(lambda message: verdict)
-    sim.tracer = Tracer(sim, categories={"fault"})
+    tel = Telemetry.attach(sim)
     batch = CallBatch()
     for index in range(entries):
         batch.add(("entry", index), 64, now_ns=sim.now)
     sim.run_until_event(sim.spawn(
         channel.send_vectored(channel.creator_endpoint, batch)))
-    return channel, [r.message for r in sim.tracer.of_category("fault")]
+    return channel, [e.name for e in tel.events if e.track == "log/fault"]
 
 
 def test_corrupt_batched_frames_leave_one_fault_record_each(world):
@@ -432,7 +433,7 @@ def test_bus_transient_replays_transfer(world):
 def _chaos_run(seed):
     """One seeded crash-and-recover run; returns its observable history."""
     sim = Simulator()
-    sim.tracer = Tracer(sim, categories={"fault"})
+    tel = Telemetry.attach(sim)
     machine = Machine(sim)
     machine.add_nic()
     runtime = HydraRuntime(machine)
@@ -464,7 +465,9 @@ def _chaos_run(seed):
     sim.run(until=60_000_000)
     incident = runtime.incidents[0]
     assert incident.recovered
-    return sim.tracer.render(), incident.latency_ns
+    faults = [(e.time_ns, e.category, e.name, e.attrs)
+              for e in tel.events if e.track == "log/fault"]
+    return faults, incident.latency_ns
 
 
 def test_fault_history_is_deterministic():
@@ -475,4 +478,5 @@ def test_fault_history_is_deterministic():
     assert first_trace == second_trace
     assert first_latency == second_latency
     assert first_latency > 0
-    assert "declaring nic0 dead" in first_trace
+    assert any("declaring nic0 dead" in name
+               for _, _, name, _ in first_trace)

@@ -1,5 +1,7 @@
 """Tests for the Section 5 layout machinery: graph, ILP, solvers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,6 +303,34 @@ def test_property_bnb_solution_valid_and_optimal_vs_scipy(graph):
     if ScipyMilpSolver.available():
         scipy_result = ScipyMilpSolver().solve(problem)
         assert scipy_result.objective == pytest.approx(bnb.objective)
+
+
+def _exhaustive_max_offloaded(graph):
+    """The most offcodes any valid placement offloads, by trying every
+    placement the compat vectors allow; None if none is valid."""
+    names = list(graph.nodes)
+    best = None
+    for choice in itertools.product(
+            *(graph.node(name).compatible_indices() for name in names)):
+        if graph.check_placement(dict(zip(names, choice))):
+            continue
+        offloaded = sum(k != HOST_INDEX for k in choice)
+        best = offloaded if best is None else max(best, offloaded)
+    return best
+
+
+@given(graph=random_layout())
+@settings(max_examples=60, deadline=None)
+def test_property_bnb_matches_exhaustive_enumeration(graph):
+    best = _exhaustive_max_offloaded(graph)
+    try:
+        bnb = BranchAndBoundSolver().solve(MaximizeOffloading().build(graph))
+    except InfeasibleLayoutError:
+        assert best is None
+        return
+    assert graph.check_placement(bnb.placement) == []
+    assert bnb.objective == best
+    assert sum(k != HOST_INDEX for k in bnb.placement.values()) == best
 
 
 @given(graph=random_layout())

@@ -2,15 +2,17 @@
 
 The pooled-timeout free list, lazy cancellation and the inlined run
 loop are pure *mechanical* optimizations: they must never change what a
-seeded run computes.  These tests pin that property by diffing whole
-trace buffers and counters between a default simulator and one with
-pooling disabled (``Simulator(event_pool_size=0)``), and by exercising
-the lazy-cancellation path that replaced ``interrupt()``'s O(n)
-callback scans.
+seeded run computes.  These tests pin that property by diffing the
+telemetry hub's span tree and instants, and the engine's counters,
+between a default simulator and one with pooling disabled (its
+``_pool_limit`` zeroed before any event runs), and by exercising the
+lazy-cancellation path that replaced ``interrupt()``'s O(n) callback
+scans.
 """
 
 from repro.errors import InterruptError
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.server import SimpleServer
 from repro.tivopc.testbed import Testbed, TestbedConfig
@@ -21,19 +23,26 @@ _SIM_SECONDS = 0.5
 
 
 def _traced_tivopc_run(pooling: bool):
-    """One seeded TiVoPC run; returns (trace records, simulator)."""
+    """One seeded TiVoPC run; returns (trace, simulator, client), the
+    trace being every recorded span and instant, field for field."""
     testbed = Testbed(TestbedConfig(seed=7))
     if not pooling:
-        # The testbed builds its own Simulator; zeroing the pool limit
-        # before any event runs is equivalent to event_pool_size=0.
+        # The testbed builds its own Simulator; zero its pool limit
+        # before any event runs.
         testbed.sim._pool_limit = 0
-    testbed.sim.tracer = Tracer(testbed.sim, capacity=100_000)
+    tel = Telemetry.attach(testbed.sim)
     testbed.start()
     client = MeasurementClient(testbed)
     client.start()
     SimpleServer(testbed).start()
     testbed.run(_SIM_SECONDS)
-    return list(testbed.sim.tracer.records), testbed.sim, client
+    spans = [(s.name, s.category, s.track, s.trace_id, s.span_id,
+              s.parent_id, s.start_ns, s.end_ns, s.attrs)
+             for s in tel.spans]
+    events = [(e.time_ns, e.category, e.name, e.track, e.attrs)
+              for e in tel.events]
+    assert spans                        # the diff compares something
+    return (spans, events), testbed.sim, client
 
 
 def test_tivopc_run_identical_with_pooling_disabled():
@@ -43,7 +52,8 @@ def test_tivopc_run_identical_with_pooling_disabled():
     assert pooled_sim.events_processed == plain_sim.events_processed
     assert pooled_sim.now == plain_sim.now
     assert pooled_client.jitter.arrivals_ns == plain_client.jitter.arrivals_ns
-    # Bit-identical traces: every record, field for field, in order.
+    # Bit-identical traces: every span and instant, field for field,
+    # in order.
     assert pooled_records == plain_records
 
 

@@ -6,8 +6,8 @@ priority, seq)`` order, so every seeded run computes byte-identical
 results whichever queue is underneath.  These tests pin that property
 three ways:
 
-* the TiVoPC pipeline, diffing whole :class:`Tracer` buffers record for
-  record;
+* the TiVoPC pipeline, diffing the telemetry hub's whole span tree and
+  instants, field for field;
 * the chaos harness across seeds 0..9 (fault injection, watchdogs,
   recovery — the densest timer workload in the repo), diffing
   order-sensitive run fingerprints;
@@ -30,8 +30,9 @@ from repro.core import ChannelConfig, HydraRuntime
 from repro.errors import InterruptError, ProcessError
 from repro.faults.chaos import ChaosProfile, run_chaos_scenario
 from repro.hw import Machine
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.resources import Resource, Store
+from repro.telemetry import Telemetry
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.server import SimpleServer
 from repro.tivopc.testbed import Testbed, TestbedConfig
@@ -39,15 +40,24 @@ from repro.tivopc.testbed import Testbed, TestbedConfig
 _SIM_SECONDS = 0.3
 
 
+def _instants(tel):
+    return [(e.time_ns, e.category, e.name, e.track, e.attrs)
+            for e in tel.events]
+
+
 def _traced_tivopc_run(scheduler: str, seed: int):
     testbed = Testbed(TestbedConfig(seed=seed, scheduler=scheduler))
-    testbed.sim.tracer = Tracer(testbed.sim, capacity=200_000)
+    tel = Telemetry.attach(testbed.sim)
     testbed.start()
     client = MeasurementClient(testbed)
     client.start()
     SimpleServer(testbed).start()
     testbed.run(_SIM_SECONDS)
-    return list(testbed.sim.tracer.records), testbed.sim, client
+    spans = [(s.name, s.category, s.track, s.trace_id, s.span_id,
+              s.parent_id, s.start_ns, s.end_ns, s.attrs)
+             for s in tel.spans]
+    assert spans                        # the diff compares something
+    return (spans, _instants(tel)), testbed.sim, client
 
 
 def test_tivopc_traces_identical_on_heap_and_wheel():
@@ -60,7 +70,8 @@ def test_tivopc_traces_identical_on_heap_and_wheel():
         assert wheel_sim.now == heap_sim.now
         assert (wheel_client.jitter.arrivals_ns
                 == heap_client.jitter.arrivals_ns)
-        # Bit-identical traces: every record, field for field, in order.
+        # Bit-identical traces: every span and instant, field for
+        # field, in order.
         assert wheel_records == heap_records
 
 
@@ -108,7 +119,7 @@ def _retransmit_run(scheduler: str):
     backoff; returns the full trace plus protocol outcomes.
     """
     sim = Simulator(scheduler=scheduler)
-    sim.tracer = Tracer(sim, capacity=200_000)
+    tel = Telemetry.attach(sim)
     machine = Machine(sim)
     machine.add_nic()
     runtime = HydraRuntime(machine)
@@ -143,7 +154,7 @@ def _retransmit_run(scheduler: str):
 
     sim.run_until_event(sim.spawn(writer()))
     stats = channel.stats()
-    return (list(sim.tracer.records), got, sim.now,
+    return (_instants(tel), got, sim.now,
             (stats.sent, stats.delivered, stats.dropped,
              stats.retransmits, stats.dup_dropped))
 

@@ -2,7 +2,7 @@
 
 Covers the Span/SpanContext API (ids, parenting, sim-time stamps), the
 per-process dynamic context used to parent bus spans under channel
-spans, the trace.emit bridge, and — end to end — that one two-way proxy
+spans, the emit bridge, and — end to end — that one two-way proxy
 call on a live runtime yields a single trace whose span tree covers
 proxy -> marshal -> channel -> bus -> device -> reply.
 """
@@ -14,9 +14,9 @@ from repro.core import (DeploymentSpec, HydraRuntime, InterfaceSpec,
 from repro.core.guid import Guid
 from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.hw import DeviceClass, Machine
-from repro.sim import Simulator, Tracer
-from repro.sim.trace import emit
+from repro.sim import Simulator
 from repro.telemetry import SpanContext, Telemetry
+from repro.telemetry.spans import emit
 
 IDUMMY = InterfaceSpec.from_methods(
     "ITel", (MethodSpec("Nop", params=(), result="int"),))
@@ -134,30 +134,23 @@ def test_ctx_is_keyed_per_process():
     assert seen["pusher_mid"].span_id == 10
 
 
-# -- the trace.emit bridge -----------------------------------------------------------
+# -- the emit bridge -----------------------------------------------------------------
 
 
-def test_emit_routes_through_telemetry_to_tracer():
+def test_emit_without_telemetry_is_noop():
     sim = Simulator()
-    tracer = Tracer(sim)
-    sim.tracer = tracer
-    tel = Telemetry.attach(sim)
-    emit(sim, "channel", "frame dropped", seq=4)
-    # The legacy consumer still sees the record ...
-    assert tracer.emitted == 1
-    assert tracer.records[0].category == "channel"
-    # ... and telemetry keeps it as an instant on a log track.
-    assert len(tel.events) == 1
-    event = tel.events[0]
-    assert (event.name, event.track) == ("frame dropped", "log/channel")
-    assert event.attrs == {"seq": 4}
+    emit(sim, "x", "nothing listens")   # must not raise
 
 
 def test_emit_with_telemetry_but_no_tracer():
     sim = Simulator()
+    sim.run(until=1_500_000)
     tel = Telemetry.attach(sim)
-    emit(sim, "watchdog", "beat missed")   # must not raise
-    assert tel.events[0].category == "watchdog"
+    emit(sim, "channel", "frame dropped", seq=4)
+    # The record is an instant on its category's log track.
+    assert [(e.time_ns, e.category, e.name, e.track, e.attrs)
+            for e in tel.events] == [
+        (1_500_000, "channel", "frame dropped", "log/channel", {"seq": 4})]
 
 
 # -- end to end: one call, one tree ---------------------------------------------------
@@ -237,3 +230,16 @@ def test_tracing_adds_no_sim_events(traced_call):
     sim.run_until_event(sim.spawn(app()))
     assert sim.events_processed == traced_call.sim.events_processed
     assert sim.now == traced_call.sim.now
+
+
+def test_deployment_and_channels_are_traced(traced_call):
+    logs = [(e.time_ns, e.category, e.name) for e in traced_call.events
+            if e.track.startswith("log/")]
+    assert {"deploy", "offcode", "channel"} <= {c for _, c, _ in logs}
+    offcode_msgs = [m for _, c, m in logs if c == "offcode"]
+    assert any("initialized" in m for m in offcode_msgs)
+    assert any("started" in m for m in offcode_msgs)
+    assert any("complete" in m for _, c, m in logs if c == "deploy")
+    # Records are time-ordered.
+    times = [t for t, _, _ in logs]
+    assert times == sorted(times)
