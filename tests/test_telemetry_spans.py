@@ -16,6 +16,7 @@ from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.hw import DeviceClass, Machine
 from repro.sim import Simulator
 from repro.telemetry import SpanContext, Telemetry
+from repro.telemetry.export import to_chrome_trace, validate_chrome_trace
 from repro.telemetry.spans import emit
 
 IDUMMY = InterfaceSpec.from_methods(
@@ -144,13 +145,26 @@ def test_emit_without_telemetry_is_noop():
 
 def test_emit_with_telemetry_but_no_tracer():
     sim = Simulator()
-    sim.run(until=1_500_000)
     tel = Telemetry.attach(sim)
     emit(sim, "channel", "frame dropped", seq=4)
     # The record is an instant on its category's log track.
-    assert [(e.time_ns, e.category, e.name, e.track, e.attrs)
-            for e in tel.events] == [
-        (1_500_000, "channel", "frame dropped", "log/channel", {"seq": 4})]
+    assert [(e.category, e.name, e.track, e.attrs) for e in tel.events] == [
+        ("channel", "frame dropped", "log/channel", {"seq": 4})]
+
+
+def test_emit_records_and_renders():
+    sim = Simulator()
+    tel = Telemetry.attach(sim)
+    sim.run(until=1_500_000)
+    emit(sim, "custom", "something happened", key=5)
+    assert [(e.time_ns, e.category, e.attrs) for e in tel.events] == [
+        (1_500_000, "custom", {"key": 5})]
+    # Rendered, the record is a Chrome trace instant at 1.5 ms.
+    trace = to_chrome_trace(tel)
+    assert validate_chrome_trace(trace) == []
+    marks = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+    assert [(m["name"], m["cat"], m["ts"], m["args"]) for m in marks] == [
+        ("something happened", "custom", 1_500.0, {"key": 5})]
 
 
 # -- end to end: one call, one tree ---------------------------------------------------
