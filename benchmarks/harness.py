@@ -8,7 +8,8 @@ output.  Two subcommands:
     Execute every harness benchmark and write
     ``benchmarks/results/bench.json`` (or ``--out``).  Each entry
     records wall-clock seconds, simulated nanoseconds, events processed
-    and events/second.
+    and events/second.  ``run NAME...`` runs only the named benchmarks
+    and merges their rows into an existing ``--out`` file.
 
 ``check``
     Compare a fresh ``--current`` run against the committed
@@ -583,10 +584,16 @@ def check(baseline: Dict, current: Dict, tolerance: float) -> list:
 
 def _cmd_run(args) -> int:
     report = run_all(args.benchmarks or None, repeat=args.repeat)
+    fresh = report["benchmarks"]
     out = pathlib.Path(args.out)
+    if args.benchmarks and out.exists():
+        # Named benchmarks replace only their own rows of an existing
+        # file, so one row can be regenerated without losing the rest.
+        kept = json.loads(out.read_text()).get("benchmarks", {})
+        report["benchmarks"] = {**kept, **fresh}
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, metrics in report["benchmarks"].items():
+    for name, metrics in fresh.items():
         print(f"{name:24s} {metrics['events']:>9d} events  "
               f"{metrics['wall_s']:7.3f} s  "
               f"{metrics['events_per_sec']:>12,.0f} ev/s")

@@ -32,7 +32,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import (AdmissionShedError, ChannelClosedError,
                           ChannelError)
-from repro.core.call import Call, CallBatch
+from repro.core.call import Call, CallBatch, ReturnDescriptor
 from repro.core.sites import ExecutionSite
 from repro.sim.engine import Event
 from repro.sim.resources import Resource, Store
@@ -428,16 +428,20 @@ class Endpoint:
 
     # -- delivery ----------------------------------------------------------------------
 
-    def _deliver(self, message: Message) -> Generator[Event, None, None]:
+    def _deliver(self, message: Message) -> Iterable[Event]:
+        """Hand ``message`` over; returns what to ``yield from``: the call
+        dispatch, the handler's generator (if any), or the ring put."""
         self.messages_in += 1
         if message.is_call and self.bound_offcode is not None:
-            yield from self._dispatch_call(message)
-            return
+            return self._dispatch_call(message)
         if self._handler is not None:
             result = self._handler(message)
             if hasattr(result, "send") and hasattr(result, "throw"):
-                yield from result
-            return
+                return result
+            return ()
+        return self._enqueue(message)
+
+    def _enqueue(self, message: Message) -> Generator[Event, None, None]:
         yield self.rx.put(message)
 
     def _dispatch_call(self, message: Message
@@ -449,7 +453,6 @@ class Endpoint:
         travels the channel in reverse, paying the provider's cost,
         before the caller's descriptor fires.
         """
-        from repro.core.call import ReturnDescriptor  # cycle-free import
         call = message.payload
         tel = self.site.sim.telemetry
         original = call.return_descriptor
@@ -488,9 +491,7 @@ class Endpoint:
                 tel.pop_ctx(token)
                 tel.end(span, ok=local.event.triggered and local.event.ok)
         # Reverse transfer: result header + encoded payload.
-        source_endpoint = next(
-            (e for e in self.channel.endpoints
-             if e.site.name == message.source), None)
+        source_endpoint = self.channel._first_at_site.get(message.source)
         if source_endpoint is not None and source_endpoint is not self:
             reply_size = 24 + (len(local.event._value)
                                if local.event.ok else 32)
@@ -548,6 +549,8 @@ class Channel:
         self.provider = provider
         self.channel_id = channel_id
         self.endpoints: List[Endpoint] = [Endpoint(self, creator_site)]
+        # Site name -> the first endpoint there: where a reply goes.
+        self._first_at_site = {creator_site.name: self.endpoints[0]}
         self.closed = False
         metrics = creator_site.sim.metrics
         labels = {"runtime": runtime, "channel": str(channel_id),
@@ -624,6 +627,7 @@ class Channel:
                 "unicast channel cannot have more than two endpoints")
         endpoint = Endpoint(self, site)
         self.endpoints.append(endpoint)
+        self._first_at_site.setdefault(site.name, endpoint)
         return endpoint
 
     def endpoint_of(self, offcode) -> Endpoint:
@@ -728,10 +732,11 @@ class Channel:
             source.messages_out += 1
             self._sent.inc()
             self._bytes.inc(size_bytes)
-            trace_emit(sim, "channel",
-                       f"#{self.channel_id} {source.site.name} -> "
-                       f"{','.join(d.site.name for d in destinations)}",
-                       bytes=size_bytes, call=message.is_call)
+            if sim.telemetry is not None:
+                trace_emit(sim, "channel",
+                           f"#{self.channel_id} {source.site.name} -> "
+                           f"{','.join(d.site.name for d in destinations)}",
+                           bytes=size_bytes, call=message.is_call)
             yield from self._land(sim, message, destinations)
         finally:
             if span is not None:
@@ -1025,12 +1030,13 @@ class Channel:
                 self._sent.inc(batch.count)
                 self._batches.inc()
                 self._bytes.inc(batch.size_bytes)
-                kind = "reliable batch" if reliable else "batch"
-                trace_emit(sim, "channel",
-                           f"#{self.channel_id} {source.site.name} => "
-                           f"{','.join(d.site.name for d in destinations)} "
-                           f"[{kind} n={batch.count}]",
-                           bytes=batch.size_bytes, batch=batch.count)
+                if sim.telemetry is not None:
+                    kind = "reliable batch" if reliable else "batch"
+                    trace_emit(sim, "channel",
+                               f"#{self.channel_id} {source.site.name} => "
+                               f"{','.join(d.site.name for d in destinations)}"
+                               f" [{kind} n={batch.count}]",
+                               bytes=batch.size_bytes, batch=batch.count)
                 if reliable:
                     for entry in batch:
                         message = self._stamp(source, entry.payload,

@@ -62,23 +62,24 @@ class InterfaceSpec:
     methods: Tuple[MethodSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        names = [m.name for m in self.methods]
-        if len(names) != len(set(names)):
+        by_name = {m.name: m for m in self.methods}
+        if len(by_name) != len(self.methods):
             raise InterfaceError(
                 f"interface {self.name!r} has duplicate method names")
+        object.__setattr__(self, "_by_name", by_name)
 
     def method(self, name: str) -> MethodSpec:
         """Look up a method spec by name (InterfaceError if absent)."""
-        for m in self.methods:
-            if m.name == name:
-                return m
-        raise InterfaceError(
-            f"interface {self.name!r} has no method {name!r}; "
-            f"has {[m.name for m in self.methods]}")
+        spec = self._by_name.get(name)
+        if spec is None:
+            raise InterfaceError(
+                f"interface {self.name!r} has no method {name!r}; "
+                f"has {[m.name for m in self.methods]}")
+        return spec
 
     def has_method(self, name: str) -> bool:
         """True if this interface declares ``name``."""
-        return any(m.name == name for m in self.methods)
+        return name in self._by_name
 
     @staticmethod
     def from_methods(name: str, methods: Tuple[MethodSpec, ...],

@@ -76,6 +76,12 @@ class Offcode:
         self._main_process: Optional[Process] = None
         self.calls_handled = 0
         self._encodes, self._decodes = marshal.counters(site.sim.metrics)
+        # GUID -> interface; the first declaration of a GUID wins, and
+        # IOffcode's own GUID always names IOffcode.
+        self._interfaces = {spec.guid: spec
+                            for spec in reversed(self.INTERFACES)}
+        self._interfaces[IOFFCODE.guid] = IOFFCODE
+        self._dispatch_context = f"{self.BINDNAME}-dispatch"
 
     # -- identity -----------------------------------------------------------------
 
@@ -91,18 +97,15 @@ class Offcode:
 
     def query_interface(self, guid: Guid) -> InterfaceSpec:
         """The IOffcode.QueryInterface operation."""
-        if guid == IOFFCODE.guid:
-            return IOFFCODE
-        for spec in self.INTERFACES:
-            if spec.guid == guid:
-                return spec
-        raise InterfaceError(
-            f"{self.bindname} does not implement interface {guid}")
+        spec = self._interfaces.get(guid)
+        if spec is None:
+            raise InterfaceError(
+                f"{self.bindname} does not implement interface {guid}")
+        return spec
 
     def implements(self, guid: Guid) -> bool:
         """True if this Offcode exposes the interface ``guid``."""
-        return guid == IOFFCODE.guid or any(
-            s.guid == guid for s in self.INTERFACES)
+        return guid in self._interfaces
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -275,8 +278,8 @@ class Offcode:
             raise InterfaceError(
                 f"{self.bindname} declares {spec.name}.{call.method} "
                 "but does not implement it")
-        yield from self.site.execute(
-            self.DISPATCH_COST_NS, context=f"{self.bindname}-dispatch")
+        yield from self.site.execute(self.DISPATCH_COST_NS,
+                                     context=self._dispatch_context)
         try:
             self._decodes.inc()
             result = target(*call.args())

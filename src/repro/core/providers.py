@@ -31,7 +31,7 @@ doorbell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from repro import units
 from repro.errors import ProviderError
@@ -64,32 +64,33 @@ def _unbundle_ns(sizes: Optional[List[int]]) -> int:
 
 def _host_site(channel: Channel) -> Optional[HostSite]:
     """The channel's host endpoint site, if it has one."""
-    return next((e.site for e in channel.endpoints
-                 if isinstance(e.site, HostSite)), None)
+    for endpoint in channel.endpoints:
+        if isinstance(endpoint.site, HostSite):
+            return endpoint.site
+    return None
 
 
 def _copy_in(kernel, channel: Channel, host: ExecutionSite, size: int
-             ) -> Generator[Event, None, None]:
-    """Copy-mode bounce: user buffer -> kernel buffer before the send."""
+             ) -> Iterable[Event]:
+    """Copy-mode bounce: user buffer -> kernel buffer before the send
+    (returns the copy to ``yield from``; nothing on a zero-copy channel)."""
     if channel.config.buffering is not Buffering.COPY:
-        return
+        return ()
     if kernel is not None:
-        yield from kernel.copy_from_user(size, context="channel")
-    else:
-        yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
-                                context="channel")
+        return kernel.copy_from_user(size, context="channel")
+    return host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
+                        context="channel")
 
 
 def _copy_out(kernel, channel: Channel, host: Optional[ExecutionSite],
-              size: int) -> Generator[Event, None, None]:
+              size: int) -> Iterable[Event]:
     """Copy-mode bounce: kernel buffer -> user buffer after delivery."""
     if channel.config.buffering is not Buffering.COPY or host is None:
-        return
+        return ()
     if kernel is not None:
-        yield from kernel.copy_to_user(size, context="channel")
-    else:
-        yield from host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
-                                context="channel")
+        return kernel.copy_to_user(size, context="channel")
+    return host.execute(round(size * _LOCAL_COPY_NS_PER_BYTE),
+                        context="channel")
 
 
 @dataclass(frozen=True)
@@ -186,21 +187,20 @@ class LoopbackProvider(ChannelProvider):
                               batch.entry_sizes())
 
     def _move(self, channel: Channel, source: Endpoint, size: int,
-              sizes: Optional[List[int]]) -> Generator[Event, None, None]:
+              sizes: Optional[List[int]]) -> Iterable[Event]:
         # One handoff (or one bulk copy) publishes a batch's whole
         # chained list; each receiver walks the per-entry descriptors.
         site = source.site
         unbundle = _unbundle_ns(sizes)
         if channel.config.buffering is Buffering.DIRECT:
-            yield from site.execute(_POINTER_HANDOFF_NS + unbundle,
-                                    context="channel")
-            return
+            return site.execute(_POINTER_HANDOFF_NS + unbundle,
+                                context="channel")
         cost = round(size * _LOCAL_COPY_NS_PER_BYTE) or 1
         if isinstance(site, HostSite):
             # A copying local channel streams through the L2 like memcpy.
             self.machine.l2.touch_range(0x3000_0000, size)
             self.machine.l2.touch_range(0x3400_0000, size, write=True)
-        yield from site.execute(cost + unbundle, context="channel")
+        return site.execute(cost + unbundle, context="channel")
 
 
 class DmaChannelProvider(ChannelProvider):
@@ -272,11 +272,10 @@ class DmaChannelProvider(ChannelProvider):
                               batch.entry_sizes())
 
     def _move(self, channel: Channel, source: Endpoint, size: int,
-              sizes: Optional[List[int]]) -> Generator[Event, None, None]:
+              sizes: Optional[List[int]]) -> Iterable[Event]:
         if isinstance(source.site, HostSite):
-            yield from self._host_to_device(channel, source.site, size, sizes)
-        else:
-            yield from self._device_to_host(channel, size, sizes)
+            return self._host_to_device(channel, source.site, size, sizes)
+        return self._device_to_host(channel, size, sizes)
 
     def _host_to_device(self, channel: Channel, host: HostSite, size: int,
                         sizes: Optional[List[int]]

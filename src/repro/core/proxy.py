@@ -228,9 +228,12 @@ class Proxy:
 
     def __getattr__(self, name: str) -> _BoundMethod:
         # Only interface methods resolve; anything else is a real miss.
+        # A resolved method is cached on the instance, so each name
+        # resolves once.
         if name.startswith("_"):
             raise AttributeError(name)
         if self.interface.has_method(name):
-            return _BoundMethod(self, name)
+            method = self.__dict__[name] = _BoundMethod(self, name)
+            return method
         raise InterfaceError(
             f"interface {self.interface.name!r} has no method {name!r}")

@@ -14,7 +14,7 @@ optional attribute filters (Section 3.3, Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Generator, List, Optional
+from typing import Callable, Dict, FrozenSet, Generator, Iterable, List, Optional
 
 from repro.errors import DeviceError, DeviceFailedError, DeviceMemoryError
 from repro.hw.bus import HOST_MEMORY, Bus
@@ -150,22 +150,27 @@ class DeviceHealth:
         trace_emit(self.device.sim, "fault",
                    f"{self.device.name} fenced (fixed-function mode)")
 
-    def barrier(self) -> Generator[Event, None, None]:
-        """Process generator: pass only while the device is healthy.
+    def barrier(self) -> Iterable[Event]:
+        """What firmware work must ``yield from`` before it runs.
 
-        Raises :class:`~repro.errors.DeviceFailedError` on a crashed
-        device; blocks while stalled (and re-checks after every resume,
-        because a stall can end in a crash).
+        A healthy device returns ``()``, so the work passes without a
+        generator frame.  A crashed one raises
+        :class:`~repro.errors.DeviceFailedError` at once; a stalled one
+        returns a generator that blocks until :meth:`resume` and checks
+        again after every resume, because a stall can end in a crash.
         """
-        while True:
-            if self.state == self.CRASHED:
-                raise DeviceFailedError(
-                    f"device {self.device.name} has crashed")
-            if self.state != self.STALLED:
-                return
-            waiter = Event(self.device.sim)
-            self._stall_waiters.append(waiter)
-            yield waiter
+        if self.state == self.CRASHED:
+            raise DeviceFailedError(
+                f"device {self.device.name} has crashed")
+        if self.state != self.STALLED:
+            return ()
+        return self._wait_for_resume()
+
+    def _wait_for_resume(self) -> Generator[Event, None, None]:
+        waiter = Event(self.device.sim)
+        self._stall_waiters.append(waiter)
+        yield waiter
+        yield from self.barrier()
 
 
 @dataclass(frozen=True)
@@ -277,12 +282,20 @@ class DeviceMemoryAllocator:
         self._free = merged
 
 
+def _after(barrier: Iterable[Event], work: Callable[..., Iterable[Event]],
+           *args) -> Generator[Event, None, object]:
+    """Run ``work(*args)`` once a stalled device's barrier passes."""
+    yield from barrier
+    return (yield from work(*args))
+
+
 class ProgrammableDevice:
     """A peripheral with an embedded CPU, local memory and a DMA engine."""
 
     def __init__(self, sim: Simulator, spec: DeviceSpec, bus: Bus) -> None:
         self.sim = sim
         self.spec = spec
+        self.name = spec.name          # the device's bus/endpoint name
         self.bus = bus
         self.cpu = Cpu(sim, spec.cpu, name=f"{spec.name}-cpu")
         self.memory = DeviceMemoryAllocator(spec.local_memory_bytes)
@@ -297,32 +310,32 @@ class ProgrammableDevice:
         self.health = DeviceHealth(self)
 
     @property
-    def name(self) -> str:
-        """The device's bus/endpoint name."""
-        return self.spec.name
-
-    @property
     def device_class(self) -> str:
         """The canonical device class (network/storage/display)."""
         return self.spec.device_class
 
     # -- DMA ------------------------------------------------------------------
 
-    def dma_to_host(self, size_bytes: int) -> Generator[Event, None, int]:
+    def _gated(self, work: Callable[..., Iterable[Event]], *args
+               ) -> Iterable[Event]:
+        """``work(*args)`` behind the health barrier, for the caller to
+        ``yield from``: on a healthy device, the work itself."""
+        barrier = self.health.barrier()
+        return _after(barrier, work, *args) if barrier else work(*args)
+
+    def dma_to_host(self, size_bytes: int) -> Iterable[Event]:
         """Bus-master DMA from device memory into host memory."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer(self.name, HOST_MEMORY, size_bytes))
+        return self._gated(self.bus.transfer, self.name, HOST_MEMORY,
+                           size_bytes)
 
-    def dma_from_host(self, size_bytes: int) -> Generator[Event, None, int]:
+    def dma_from_host(self, size_bytes: int) -> Iterable[Event]:
         """Bus-master DMA from host memory into device memory."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer(HOST_MEMORY, self.name, size_bytes))
+        return self._gated(self.bus.transfer, HOST_MEMORY, self.name,
+                           size_bytes)
 
-    def dma_to_peer(self, peer: str, size_bytes: int
-                    ) -> Generator[Event, None, int]:
+    def dma_to_peer(self, peer: str, size_bytes: int) -> Iterable[Event]:
         """Device-to-device DMA (may stage through host memory on PCI)."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer(self.name, peer, size_bytes))
+        return self._gated(self.bus.transfer, self.name, peer, size_bytes)
 
     # -- vectored (scatter-gather) DMA ------------------------------------------
 
@@ -331,25 +344,20 @@ class ProgrammableDevice:
         """True when the DMA engine chains descriptors (scatter-gather)."""
         return self.spec.has_feature("scatter-gather")
 
-    def dma_to_host_vectored(self, sizes: List[int]
-                             ) -> Generator[Event, None, int]:
+    def dma_to_host_vectored(self, sizes: List[int]) -> Iterable[Event]:
         """One chained DMA moving several buffers into host memory."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer_scatter(self.name, HOST_MEMORY,
-                                                     sizes))
+        return self._gated(self.bus.transfer_scatter, self.name,
+                           HOST_MEMORY, sizes)
 
-    def dma_from_host_vectored(self, sizes: List[int]
-                               ) -> Generator[Event, None, int]:
+    def dma_from_host_vectored(self, sizes: List[int]) -> Iterable[Event]:
         """One chained DMA moving several host buffers into the device."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer_scatter(HOST_MEMORY, self.name,
-                                                     sizes))
+        return self._gated(self.bus.transfer_scatter, HOST_MEMORY,
+                           self.name, sizes)
 
     def dma_to_peer_vectored(self, peer: str, sizes: List[int]
-                             ) -> Generator[Event, None, int]:
+                             ) -> Iterable[Event]:
         """One chained device-to-device DMA for a scatter-gather list."""
-        yield from self.health.barrier()
-        return (yield from self.bus.transfer_scatter(self.name, peer, sizes))
+        return self._gated(self.bus.transfer_scatter, self.name, peer, sizes)
 
     # -- host interrupts ---------------------------------------------------------
 
@@ -366,10 +374,9 @@ class ProgrammableDevice:
     # -- firmware execution -------------------------------------------------------
 
     def run_on_device(self, duration_ns: int, context: str = "firmware"
-                      ) -> Generator[Event, None, None]:
-        """Charge work to the device's embedded CPU."""
-        yield from self.health.barrier()
-        yield from self.cpu.execute(duration_ns, context=context)
+                      ) -> Iterable[Event]:
+        """Charge work to the device's embedded CPU (``yield from`` it)."""
+        return self._gated(self.cpu.execute, duration_ns, context)
 
     def fence(self) -> None:
         """Driver-reset a crashed device into fixed-function mode.

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Iterable, List, Optional
 
 from repro.errors import DeviceFailedError, RdmaError
+from repro.hw.bus import HOST_MEMORY
 from repro.rdma.mr import RdmaRegion
 from repro.sim.engine import Event
 
@@ -65,7 +66,7 @@ class WorkRequest:
     value: Any = None              # write payload
     expected: int = 0              # cas operands
     desired: int = 0
-    wr_id: int = field(default_factory=lambda: next(_wr_counter))
+    wr_id: int = field(default_factory=_wr_counter.__next__)
 
 
 @dataclass
@@ -121,17 +122,16 @@ class CompletionQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def notify(self, count: int = 1) -> Generator[Event, None, None]:
+    def notify(self, count: int = 1) -> Iterable[Event]:
         """Charge the notification cost for one doorbell's ``count``
         completions — priced by the batch it covers, not by whatever
-        undrained entries happen to sit in the queue."""
+        undrained entries happen to sit in the queue.  Returns what the
+        doorbell must ``yield from``."""
         if self.mode == "interrupt":
             self.interrupts += 1
-            if self.kernel is not None:
-                yield from self.kernel.isr()
-            return
-        yield from self.site.execute(CQ_POLL_NS * max(1, count),
-                                     context="rdma-cq")
+            return () if self.kernel is None else self.kernel.isr()
+        return self.site.execute(CQ_POLL_NS * max(1, count),
+                                 context="rdma-cq")
 
 
 @dataclass
@@ -297,8 +297,9 @@ class QueuePair:
             for wr in batch:
                 if wr.wr_id not in done:
                     completions.append(self._fail(wr, repr(exc)))
+        now = self.site.sim.now
         for completion in completions:
-            completion.completed_at_ns = self.site.sim.now
+            completion.completed_at_ns = now
             self.cq.push(completion)
         yield from self.cq.notify(len(completions))
         return completions
@@ -322,16 +323,13 @@ class QueuePair:
             yield direction, run
 
     def _memory_name(self, location: str) -> str:
-        from repro.hw.bus import HOST_MEMORY
         return HOST_MEMORY if location == "host" else location
 
     def _owner_dead(self, region: RdmaRegion) -> bool:
-        if region.owner == "host":
-            return False
-        if region.owner == self.engine.name:
+        owner = region.owner
+        if owner == "host" or owner == self.engine.name:
             return False          # the engine barrier already covers it
-        owner = self.engine.bus.endpoint(region.owner)
-        health = getattr(owner, "health", None)
+        health = getattr(self.engine.bus.endpoint(owner), "health", None)
         return health is not None and health.crashed
 
     def _move(self, direction: str, group: List[WorkRequest]
@@ -365,20 +363,21 @@ class QueuePair:
             yield from self._wire(src, dst, sizes)
 
     def _wire(self, src: str, dst: str, sizes: List[int]
-              ) -> Generator[Event, None, None]:
-        """One scatter-gather transaction, or two when the engine must
-        loop the data through itself (initiator and region share a
-        memory — the RNIC still bus-masters the round trip)."""
+              ) -> Iterable[Event]:
+        """One scatter-gather transaction to ``yield from``; two when the
+        engine must loop the data through itself (initiator and region
+        share a memory — the RNIC still bus-masters the round trip);
+        none for an engine-local access."""
+        if src == dst:
+            return () if src == self.engine.name else self._loop(src, sizes)
         bus = self.engine.bus
-        if src == dst == self.engine.name:
-            return          # engine-local access, no bus transaction
-        hops = ([(src, self.engine.name), (self.engine.name, dst)]
-                if src == dst else [(src, dst)])
-        for hop_src, hop_dst in hops:
-            if len(sizes) == 1:
-                yield from bus.transfer(hop_src, hop_dst, sizes[0])
-            else:
-                yield from bus.transfer_scatter(hop_src, hop_dst, sizes)
+        return (bus.transfer(src, dst, sizes[0]) if len(sizes) == 1
+                else bus.transfer_scatter(src, dst, sizes))
+
+    def _loop(self, memory: str, sizes: List[int]
+              ) -> Generator[Event, None, None]:
+        yield from self._wire(memory, self.engine.name, sizes)
+        yield from self._wire(self.engine.name, memory, sizes)
 
     def _apply(self, wr: WorkRequest) -> Completion:
         """Data semantics at completion time (costs already paid)."""
