@@ -9,11 +9,15 @@ inside its timed section, the rest reuse it.
 
 Rendered tables are printed and also written to
 ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference them.
+Everything written there depends only on code and seed, so CI compares
+a fresh run with ``git diff``; wall-clock fields go to the git-ignored
+``.harness/`` instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fnmatch
 import json
 import pathlib
 import sys
@@ -21,12 +25,19 @@ from typing import Dict, Optional
 
 import pytest
 
+from harness import RECORD_DIR
 from repro.evaluation import (
     run_all_client_scenarios,
     run_all_server_scenarios,
 )
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# Fields whose value depends on the machine, not only on code and seed:
+# wall times, rates and the ratios built on them, and the CPU count that
+# decides whether fleet scaling was measured or projected.
+MACHINE_FIELDS = ("wall_s*", "*_wall_s", "*_per_sec", "speedup_*w",
+                  "supervision_overhead", "tracing_cost", "affinity_cpus")
 
 # The eager kernel tick oracle (tests/eager_ticks.py) lives with the
 # tier-1 tests; the benchmarks that still pin its event counts import it.
@@ -74,18 +85,42 @@ def to_jsonable(obj):
     return str(obj)
 
 
+def split(data):
+    """``(deterministic, machine)`` halves of ``data``: ``MACHINE_FIELDS``
+    keys go to the second, at any depth of nested dicts."""
+    if not isinstance(data, dict):
+        return data, {}
+    deterministic, machine = {}, {}
+    for key, value in data.items():
+        if any(fnmatch.fnmatchcase(key, p) for p in MACHINE_FIELDS):
+            machine[key] = value
+        else:
+            deterministic[key], machine_part = split(value)
+            if machine_part:
+                machine[key] = machine_part
+    return deterministic, machine
+
+
 def publish(name: str, text: str, data: Optional[object] = None) -> None:
     """Print a rendered artifact and persist it under results/.
 
     ``data`` (when given) is written alongside as ``results/<name>.json``
-    so downstream tooling can diff numbers without parsing tables.
+    so downstream tooling can diff numbers without parsing tables; its
+    machine fields are printed and written to ``.harness/<name>.json``
+    instead.  ``text`` must render deterministic fields only.
     """
+    deterministic, machine = split(to_jsonable(data))
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     if data is not None:
         (RESULTS_DIR / f"{name}.json").write_text(
-            json.dumps(to_jsonable(data), indent=2, sort_keys=True) + "\n")
+            json.dumps(deterministic, indent=2, sort_keys=True) + "\n")
     print("\n" + text)
+    if machine:
+        RECORD_DIR.mkdir(exist_ok=True)
+        record = json.dumps(machine, indent=2, sort_keys=True)
+        (RECORD_DIR / f"{name}.json").write_text(record + "\n")
+        print(record)
 
 
 @pytest.fixture()

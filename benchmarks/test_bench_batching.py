@@ -52,7 +52,7 @@ class DispatchRun:
         self.jitter = JitterCollector()
 
     @property
-    def msgs_per_sec(self) -> float:
+    def msgs_per_sim_sec(self) -> float:
         if self.elapsed_ns <= 0:
             return 0.0
         return self.messages * 1e9 / self.elapsed_ns
@@ -117,7 +117,7 @@ def run_dispatch(label, batched, messages, interval_ns=0):
 
 
 def render(burst_plain, burst_batched, paced_plain, paced_batched):
-    speedup = burst_batched.msgs_per_sec / burst_plain.msgs_per_sec
+    speedup = burst_batched.msgs_per_sim_sec / burst_plain.msgs_per_sim_sec
     txn_ratio = (burst_plain.bus_transactions
                  / max(1, burst_batched.bus_transactions))
     lines = [
@@ -131,7 +131,7 @@ def render(burst_plain, burst_batched, paced_plain, paced_batched):
         lines.append(
             f"{run.label:<24}{run.messages:>7}"
             f"{run.elapsed_ns / 1e6:>12.3f}"
-            f"{run.msgs_per_sec:>12.0f}"
+            f"{run.msgs_per_sim_sec:>12.0f}"
             f"{run.bus_transactions:>10}"
             f"{run.sg_transfers:>9}")
     lines += [
@@ -177,7 +177,7 @@ def test_batching_throughput_and_jitter(one_shot):
         return {
             "messages": run.messages,
             "elapsed_ns": run.elapsed_ns,
-            "msgs_per_sec": run.msgs_per_sec,
+            "msgs_per_sim_sec": run.msgs_per_sim_sec,
             "bus_transactions": run.bus_transactions,
             "sg_transfers": run.sg_transfers,
             "sg_entries": run.sg_entries,
@@ -197,7 +197,7 @@ def test_batching_throughput_and_jitter(one_shot):
     assert burst_plain.messages == burst_batched.messages == BURST_MESSAGES
 
     # Tentpole claims at the default watermark.
-    assert burst_batched.msgs_per_sec >= 3.0 * burst_plain.msgs_per_sec
+    assert burst_batched.msgs_per_sim_sec >= 3.0 * burst_plain.msgs_per_sim_sec
     assert (burst_batched.bus_transactions
             <= burst_plain.bus_transactions / 5.0)
     assert burst_batched.sg_transfers > 0

@@ -1,54 +1,37 @@
-"""Fleet scaling benchmark: sharded throughput and scaling efficiency.
+"""Fleet scaling benchmark: sharded work, scaling and supervision cost.
 
-Two kinds of assertion, split by what wall-clock noise can touch:
+The sharded population's simulated work is seeded and exact whatever
+the worker count, so it is committed and diffed: chunks are conserved
+and the chunk tier dispatches ~1 simulation event per chunk.
 
-* **Noise-free invariants, gated on the live run**: the sharded
-  population conserves chunks (per shard and in aggregate), dispatches
-  ~1 simulation event per chunk (the scale model's contract), and
-  labels its scaling numbers with their basis — ``measured`` when the
-  affinity mask covers the worker count, ``projected_lpt`` otherwise.
-* **The >= 3x-at-4-workers bar, gated on the committed baseline**:
-  regenerated on the reference machine whenever a deliberate perf
-  change lands; this test verifies the committed artifact upholds it
-  so the scaling claim cannot regress silently.
+The wall-clock claims are gated on the live run, as ratios of two
+measurements taken in it:
+
+* **>= 3x aggregate throughput at 4 workers vs 1** (``speedup_4w``).  It
+  is measured when the CPU affinity mask covers 4 workers; on smaller
+  runners it is the LPT projection from the measured shard walls, and
+  ``speedup_basis_4w`` says so.
+* **Supervision costs <= 3 % wall** over the bare pool it replaced
+  (``supervision_overhead``, interleaved best-of-3 pairs).
 """
-
-import json
 
 from conftest import publish
 
-from harness import (
-    DEFAULT_BENCH_JSON,
-    FLEET_CLIENTS,
-    FLEET_SHARDS,
-    run_all,
-)
+from harness import FLEET_CLIENTS, FLEET_SHARDS, bench_fleet
 
 
 def test_bench_fleet_scaling(one_shot):
-    report = one_shot(run_all, ["fleet"], repeat=1)
-    fleet = report["benchmarks"]["fleet"]
+    fleet = one_shot(bench_fleet)
     publish("fleet_scaling", "\n".join([
         f"Fleet scaling -- {FLEET_CLIENTS} chunk-fidelity subscribers, "
         f"{FLEET_SHARDS} shards",
-        f"1-worker rate        {fleet['events_per_sec']:>14,.0f} ev/s",
-        f"2-worker rate        {fleet['events_per_sec_2w']:>14,.0f} ev/s "
-        f"({fleet['speedup_basis_2w']})",
-        f"4-worker rate        {fleet['events_per_sec_4w']:>14,.0f} ev/s "
-        f"({fleet['speedup_basis_4w']})",
-        f"speedup 2w / 4w      {fleet['speedup_2w']:>8.2f}x / "
-        f"{fleet['speedup_4w']:.2f}x",
-        f"efficiency 2w / 4w   {fleet['efficiency_2w']:>8.2f} / "
-        f"{fleet['efficiency_4w']:.2f}",
-        f"dispatch+merge       {fleet['dispatch_merge_overhead_s']:>11.3f} s",
-        f"supervision overhead {fleet['supervision_overhead']:>11.3f}x "
-        f"({fleet['supervised_wall_s']:.3f}s vs "
-        f"{fleet['unsupervised_wall_s']:.3f}s bare pool)",
+        f"events               {fleet['events']:>14,d}",
+        f"simulated ns         {fleet['sim_ns']:>14,d}",
+        f"conservation ok      {fleet['conservation_ok']:>14d}",
     ]), data=fleet)
 
     # Simulated work is seeded and exact whatever the worker count.
     assert fleet["conservation_ok"] == 1
-    assert fleet["clients"] == FLEET_CLIENTS
     assert fleet["sim_ns"] == FLEET_SHARDS * 2_000_000_000
     # The chunk tier's reason to exist: ~1 event per chunk.  399 chunks
     # per subscriber over 2 s at 5 ms pacing, plus one horizon wakeup.
@@ -56,21 +39,5 @@ def test_bench_fleet_scaling(one_shot):
     # Scaling numbers must declare what they are.
     assert fleet["speedup_basis_2w"] in ("measured", "projected_lpt")
     assert fleet["speedup_basis_4w"] in ("measured", "projected_lpt")
-    assert fleet["speedup_2w"] > 0 and fleet["speedup_4w"] > 0
-    # The live run must carry the supervision-overhead pair (sane, not
-    # gated here: a shared runner's wall clock is too noisy to assert a
-    # percentage on).
-    assert fleet["supervised_wall_s"] > 0
-    assert fleet["unsupervised_wall_s"] > 0
-    assert fleet["supervision_overhead"] > 0
-
-    # The committed baseline carries the acceptance bar: >= 3x aggregate
-    # events/sec at 4 workers vs 1, with its basis recorded.
-    committed = json.loads(DEFAULT_BENCH_JSON.read_text())["benchmarks"]
-    assert committed["fleet"]["speedup_4w"] >= 3.0
-    assert committed["fleet"]["events_per_sec_4w"] >= \
-        3.0 * committed["fleet"]["events_per_sec"]
-    assert "speedup_basis_4w" in committed["fleet"]
-    # Crash-safe dispatch must stay essentially free: on the reference
-    # machine the SupervisedPool costs <= 3 % wall over the bare pool.
-    assert committed["fleet"]["supervision_overhead"] <= 1.03
+    assert fleet["speedup_4w"] >= 3.0
+    assert fleet["supervision_overhead"] <= 1.03

@@ -1,22 +1,29 @@
 """RDMA substrate benchmarks: one-sided KV gets and the sPIN filter.
 
-Split the same way as the fleet benchmark: invariants that wall-clock
-noise cannot touch (correctness, conservation, accounting identities)
-gate on the live run, while the headline perf claim — one-sided batched
-gets beat two-sided RPC gets — gates on the committed bench.json, so
-the substrate's reason to exist cannot regress silently.
+Every claim here is simulated (time, host CPU, packet counts), so each
+is gated on the live run and the artifacts are committed and diffed.
+The KV cache's wall clock is perfbench's ``kv_mixed`` workload; the sPIN
+filter's is the harness's ``spin_filter`` row.
 """
-
-import json
 
 from conftest import publish
 
-from harness import DEFAULT_BENCH_JSON, run_all
+from harness import bench_spin_filter
+
+from repro.rdma.kv import run_kv_scenario
 
 
 def test_bench_rdma_kv(one_shot):
-    report = one_shot(run_all, ["rdma_kv"], repeat=1)
-    kv = report["benchmarks"]["rdma_kv"]
+    report = one_shot(run_kv_scenario, keys=192, batch=8)
+    one_sided_ns, rpc_ns = report["one_sided_ns"], report["rpc_ns"]
+    kv = {key: report[key] for key in (
+        "sim_ns", "events", "keys", "one_sided_ns", "rpc_ns", "doorbells",
+        "rdma_reads", "one_sided_host_cpu_ns", "rpc_host_cpu_ns")}
+    kv.update(speedup_sim=rpc_ns / one_sided_ns,
+              one_sided_gets_per_sim_sec=report["keys"] * 1e9 / one_sided_ns,
+              rpc_gets_per_sim_sec=report["keys"] * 1e9 / rpc_ns,
+              correct=1.0 if report["correct"] else 0.0,
+              conservation_ok=1.0 if report["imbalance"] == 0 else 0.0)
     publish("rdma_kv", "\n".join([
         f"RDMA KV cache -- {kv['keys']:.0f} keys, one-sided vs RPC",
         f"one-sided sweep      {kv['one_sided_ns']:>14,.0f} sim-ns",
@@ -28,26 +35,19 @@ def test_bench_rdma_kv(one_shot):
         f"{kv['rdma_reads']:.0f}",
     ]), data=kv)
 
-    # Noise-free invariants on the live run.
     assert kv["correct"] == 1
     assert kv["conservation_ok"] == 1
-    assert kv["speedup_sim"] > 1.0              # sim time, not wall time
+    # The substrate's reason to exist: one-sided batched gets beat
+    # two-sided RPC gets by a wide margin in simulated time, and spend
+    # less host CPU.
+    assert kv["speedup_sim"] >= 2.0
+    assert kv["one_sided_gets_per_sim_sec"] > kv["rpc_gets_per_sim_sec"]
     assert kv["one_sided_host_cpu_ns"] < kv["rpc_host_cpu_ns"]
     assert kv["doorbells"] * 2 <= kv["rdma_reads"]   # batching amortized
 
-    # The committed baseline carries the acceptance bar: one-sided gets
-    # beat two-sided RPC gets by a wide margin on the reference machine.
-    committed = json.loads(DEFAULT_BENCH_JSON.read_text())["benchmarks"]
-    assert committed["rdma_kv"]["speedup_sim"] >= 2.0
-    assert (committed["rdma_kv"]["one_sided_gets_per_sim_sec"]
-            > committed["rdma_kv"]["rpc_gets_per_sim_sec"])
-    assert (committed["rdma_kv"]["one_sided_host_cpu_ns"]
-            < committed["rdma_kv"]["rpc_host_cpu_ns"])
-
 
 def test_bench_spin_filter(one_shot):
-    report = one_shot(run_all, ["spin_filter"], repeat=1)
-    spin = report["benchmarks"]["spin_filter"]
+    spin = one_shot(bench_spin_filter)
     publish("spin_filter", "\n".join([
         f"sPIN telemetry filter -- {spin['rx_packets']:.0f} packets "
         "received",
@@ -66,5 +66,3 @@ def test_bench_spin_filter(one_shot):
     # In-network absorption is the point: the host sleeps through the
     # overwhelming majority of the line.
     assert spin["host_absorption"] >= 0.75
-    committed = json.loads(DEFAULT_BENCH_JSON.read_text())["benchmarks"]
-    assert committed["spin_filter"]["host_absorption"] >= 0.75
