@@ -36,6 +36,7 @@ from repro.core.call import Call, CallBatch, ReturnDescriptor
 from repro.core.sites import ExecutionSite
 from repro.sim.engine import Event
 from repro.sim.resources import Resource, Store
+from repro.telemetry.metrics import Law
 from repro.telemetry.spans import emit as trace_emit
 
 __all__ = ["ChannelKind", "Reliability", "SyncMode", "Buffering",
@@ -389,7 +390,6 @@ class Endpoint:
         self._handler: Optional[Callable[[Message], Any]] = None
         self.bound_offcode = None    # set when an Offcode owns this endpoint
         self.messages_in = 0
-        self.messages_out = 0
 
     # -- the channel API of Section 3.2 --------------------------------------------
 
@@ -553,8 +553,10 @@ class Channel:
         self._first_at_site = {creator_site.name: self.endpoints[0]}
         self.closed = False
         metrics = creator_site.sim.metrics
-        labels = {"runtime": runtime, "channel": str(channel_id),
-                  "label": config.label}
+        # The labels of every series this channel (and its batcher) owns.
+        self.metric_labels = labels = {
+            "runtime": runtime, "channel": str(channel_id),
+            "label": config.label}
         self._counters = [
             metrics.counter(f"repro_channel_{name}_total", help=text,
                             labels=_METRIC_LABELS).own(**labels)
@@ -729,7 +731,6 @@ class Channel:
             finally:
                 if self._sequencer is not None:
                     self._sequencer.release()
-            source.messages_out += 1
             self._sent.inc()
             self._bytes.inc(size_bytes)
             if sim.telemetry is not None:
@@ -837,7 +838,6 @@ class Channel:
                 destinations = [e for e in self.endpoints if e is not source]
                 yield from self._reliable_exchange(
                     source, destinations, message, transfer_first=True)
-                source.messages_out += 1
             finally:
                 if self._sequencer is not None:
                     self._sequencer.release()
@@ -1026,7 +1026,6 @@ class Channel:
             try:
                 yield from self.provider.transfer_vectored(
                     self, source, destinations, batch)
-                source.messages_out += batch.count
                 self._sent.inc(batch.count)
                 self._batches.inc()
                 self._bytes.inc(batch.size_bytes)
@@ -1104,6 +1103,16 @@ class Channel:
                 f"endpoints={len(self.endpoints)}>")
 
 
+# The channel law over one channel's ChannelStats.
+CHANNEL_LAW = Law(
+    total="sent", parts=("delivered", "dropped"),
+    leak="channel #{channel_id} ({label!r}) leaks accounting: sent={sent} "
+         "delivered={delivered} dropped={dropped}",
+    breakdown=("corrupted", "dup_dropped"), within="dropped",
+    mismatch="channel #{channel_id} ({label!r}) drop breakdown exceeds "
+             "total drops")
+
+
 def conservation(channels: Iterable[Channel]
                  ) -> Tuple[List[int], List[str]]:
     """The channel conservation law, evaluated over ``channels``.
@@ -1117,19 +1126,9 @@ def conservation(channels: Iterable[Channel]
     imbalances: List[int] = []
     violations: List[str] = []
     for channel in channels:
-        stats = channel.stats()
-        imbalance = stats.sent - (stats.delivered + stats.dropped)
-        imbalances.append(imbalance)
-        if channel._rel is None:
-            continue
-        slack = 1 if channel.closed else 0
-        if not 0 <= imbalance <= slack:
-            violations.append(
-                f"channel #{stats.channel_id} ({stats.label!r}) leaks "
-                f"accounting: sent={stats.sent} "
-                f"delivered={stats.delivered} dropped={stats.dropped}")
-        if stats.corrupted + stats.dup_dropped > stats.dropped:
-            violations.append(
-                f"channel #{stats.channel_id} ({stats.label!r}) drop "
-                "breakdown exceeds total drops")
+        books = vars(channel.stats())
+        imbalances.append(CHANNEL_LAW.imbalance(books))
+        if channel._rel is not None:
+            violations.extend(CHANNEL_LAW.check(
+                books, slack=1 if channel.closed else 0))
     return imbalances, violations

@@ -52,14 +52,9 @@ _EWMA_ALPHA = 0.25
 
 @dataclass(frozen=True)
 class BatcherStats:
-    """Flush accounting for one channel's batcher.
-
-    ``coalesced`` counts payloads that rode a batch; ``bypassed`` counts
-    payloads the adaptive estimator sent down the classic per-message
-    path.  The three ``flushed_*`` counters attribute each flush to the
-    watermark that tripped it, and ``expired`` counts entries dropped
-    because their deadline passed while the batch was retrying.
-    """
+    """Flush accounting for one channel's batcher: a view over its
+    counters in ``sim.metrics``, whose help (``_HELP``) says what each
+    field counts."""
 
     coalesced: int
     bypassed: int
@@ -73,6 +68,20 @@ class BatcherStats:
         """Total vectored flushes across all causes."""
         return (self.flushed_on_bytes + self.flushed_on_count
                 + self.flushed_on_deadline)
+
+
+# Help of the counter behind each BatcherStats field, exported as
+# ``repro_batcher_<field>_total`` under the channel's labels.
+_HELP = {
+    "coalesced": "Payloads that rode a vectored batch",
+    "bypassed": "Payloads the adaptive estimator sent down the classic "
+                "per-message path",
+    "flushed_on_bytes": "Batches flushed by the byte watermark",
+    "flushed_on_count": "Batches flushed by the count watermark",
+    "flushed_on_deadline": "Batches flushed by their deadline",
+    "expired": "Batch entries dropped because their call deadline passed "
+               "while the batch was retrying",
+}
 
 
 class ChannelBatcher:
@@ -109,12 +118,11 @@ class ChannelBatcher:
         self._generation: Dict[int, int] = {}
         self._ewma_gap_ns: Dict[int, float] = {}
         self._last_offer_ns: Dict[int, int] = {}
-        self.coalesced = 0
-        self.bypassed = 0
-        self.flushed_on_bytes = 0
-        self.flushed_on_count = 0
-        self.flushed_on_deadline = 0
-        self.expired = 0
+        labels = channel.metric_labels
+        self._counts = {
+            name: sim.metrics.counter(f"repro_batcher_{name}_total",
+                                      help=text, labels=tuple(labels))
+            .own(**labels) for name, text in _HELP.items()}
 
     # -- ingest --------------------------------------------------------------------
 
@@ -131,7 +139,7 @@ class ChannelBatcher:
         self._observe_gap(key, now)
         pending = self._pending.get(key)
         if pending is None and self._too_sparse(key):
-            self.bypassed += 1
+            self._counts["bypassed"].inc()
             return False
         if pending is None:
             pending = CallBatch()
@@ -140,7 +148,7 @@ class ChannelBatcher:
         deadline_at = (now + self.policy.deadline_ns
                        if self.policy is not None else None)
         pending.add(payload, size_bytes, now, deadline_at_ns=deadline_at)
-        self.coalesced += 1
+        self._counts["coalesced"].inc()
         tel = self.sim.telemetry
         if tel is not None:
             tel.instant("batch.enqueue", "batch",
@@ -203,12 +211,7 @@ class ChannelBatcher:
         if batch is None or batch.count == 0:
             return
         source = self._sources[key]
-        if cause == "bytes":
-            self.flushed_on_bytes += 1
-        elif cause == "count":
-            self.flushed_on_count += 1
-        else:
-            self.flushed_on_deadline += 1
+        self._counts[f"flushed_on_{cause}"].inc()
         tel = self.sim.telemetry
         span = token = None
         if tel is not None:
@@ -219,7 +222,8 @@ class ChannelBatcher:
         try:
             attempt = 1
             while True:
-                self.expired += len(batch.drop_expired(self.sim.now))
+                self._counts["expired"].inc(
+                    len(batch.drop_expired(self.sim.now)))
                 if batch.count == 0:
                     return
                 try:
@@ -257,12 +261,8 @@ class ChannelBatcher:
 
     def stats(self) -> BatcherStats:
         """Current :class:`BatcherStats` snapshot."""
-        return BatcherStats(
-            coalesced=self.coalesced, bypassed=self.bypassed,
-            flushed_on_bytes=self.flushed_on_bytes,
-            flushed_on_count=self.flushed_on_count,
-            flushed_on_deadline=self.flushed_on_deadline,
-            expired=self.expired)
+        return BatcherStats(**{name: counter.value
+                               for name, counter in self._counts.items()})
 
 
 class ChannelExecutive:

@@ -74,7 +74,6 @@ class Offcode:
         self.channels: List[Any] = []    # connected channels, in attach order
         self.management_events: List[Any] = []
         self._main_process: Optional[Process] = None
-        self.calls_handled = 0
         self._encodes, self._decodes = marshal.counters(site.sim.metrics)
         # GUID -> interface; the first declaration of a GUID wins, and
         # IOffcode's own GUID always names IOffcode.
@@ -286,12 +285,10 @@ class Offcode:
             if hasattr(result, "send") and hasattr(result, "throw"):
                 result = yield from result
         except Exception as exc:
-            self.calls_handled += 1
             if call.return_descriptor is not None:
                 call.return_descriptor.deliver_error(exc)
                 return
             raise
-        self.calls_handled += 1
         if call.return_descriptor is not None:
             if method_spec.result == "none":
                 result = None

@@ -50,12 +50,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.evaluation.parallel import default_workers
-from repro.evaluation.supervised import (SupervisedPool, SupervisionPolicy,
-                                         SupervisionStats)
+from repro.evaluation.supervised import SupervisedPool, SupervisionPolicy
 from repro.sim.rng import RandomStreams
 from repro.telemetry.merge import merge_snapshots
 from repro.telemetry.metrics import MetricsRegistry
-from repro.tivopc.population import PopulationConfig, run_population
+from repro.tivopc.population import (CHUNK_LAW, PopulationConfig,
+                                     run_population)
 from repro import units
 
 __all__ = ["FleetConfig", "ShardResult", "FleetReport", "shard_seed",
@@ -265,9 +265,9 @@ def _run_shard(task: Tuple[int, "FleetConfig"]) -> ShardResult:
     wall_s = time.perf_counter() - start
 
     violations = [
-        f"shard {shard_id} client {s.gid}: sent {s.chunks_sent} != "
-        f"delivered {s.chunks_delivered} + lost {s.chunks_lost}"
-        for s in result.subscribers if s.conservation_imbalance()]
+        problem for s in result.subscribers
+        for problem in CHUNK_LAW.check(
+            vars(s), where=f"shard {shard_id} client {s.gid}")]
     violations.extend(
         f"shard {shard_id}: {problem}"
         for problem in getattr(result, "channel_violations", []))
@@ -422,13 +422,8 @@ def _check_sums(shards: Sequence[ShardResult], totals: Dict[str, int],
                 problems.append(
                     f"merged shard {shard.shard_id} {state} is {got}, "
                     f"shard artifact says {shard.totals[key]}")
-    # Conservation in aggregate (per-shard was checked in the workers).
-    if totals["chunks_sent"] != (totals["chunks_delivered"]
-                                 + totals["chunks_lost"]):
-        problems.append(
-            f"aggregate conservation: sent {totals['chunks_sent']} != "
-            f"delivered {totals['chunks_delivered']} + lost "
-            f"{totals['chunks_lost']}")
+    # Conservation in aggregate (per-client was checked in the workers).
+    problems.extend(CHUNK_LAW.check(totals, where="aggregate conservation"))
     return problems
 
 
@@ -485,41 +480,6 @@ def _load_resumed(resume_dir: str, config: FleetConfig,
     return resumed
 
 
-def _supervision_snapshot(stats: SupervisionStats,
-                          resumed: int) -> Dict[str, Any]:
-    """Supervision counters as a mergeable telemetry snapshot.
-
-    Same schema as the shard snapshots, so artifacts from several runs
-    fold through :func:`repro.telemetry.merge.merge_snapshots` exactly
-    like any other counter family.
-    """
-    registry = MetricsRegistry()
-    registry.counter(
-        "repro_fleet_shard_retries_total",
-        "Shard dispatches retried after a failure or timeout"
-    ).inc(stats.retries)
-    registry.counter(
-        "repro_fleet_shard_hedges_total",
-        "Speculative straggler duplicates launched").inc(stats.hedges)
-    registry.counter(
-        "repro_fleet_shard_resumed_total",
-        "Shards restored from resume artifacts instead of rerun"
-    ).inc(resumed)
-    registry.counter(
-        "repro_fleet_shard_quarantined_total",
-        "Shards abandoned after exhausting retries"
-    ).inc(stats.quarantined)
-    registry.counter(
-        "repro_fleet_shard_timeouts_total",
-        "Shard dispatches reaped by the wall-clock watchdog"
-    ).inc(stats.timeouts)
-    registry.counter(
-        "repro_fleet_worker_deaths_total",
-        "Worker processes found dead and replaced"
-    ).inc(stats.worker_deaths)
-    return registry.snapshot()
-
-
 def run_fleet(config: FleetConfig,
               artifacts_dir: Optional[str] = None,
               resume_dir: Optional[str] = None,
@@ -554,19 +514,19 @@ def run_fleet(config: FleetConfig,
 
     todo = [shard_id for shard_id in range(config.shards)
             if shard_id not in by_id]
-    stats = SupervisionStats()
-    quarantine_reasons: Dict[int, str] = {}
-    if todo:
-        pool = SupervisedPool(
-            _run_shard, workers=min(workers, len(todo)),
-            policy=config.supervision, chaos=chaos, task_keys=todo)
-        for result in pool.run(
-                [(shard_id, config) for shard_id in todo]).values():
-            by_id[result.shard_id] = result
-        stats = pool.stats
-        quarantine_reasons = {
-            failure.key: failure.summary()
-            for failure in pool.failures.values()}
+    pool = SupervisedPool(
+        _run_shard, workers=max(1, min(workers, len(todo))),
+        policy=config.supervision, chaos=chaos, task_keys=todo)
+    for result in pool.run(
+            [(shard_id, config) for shard_id in todo]).values():
+        by_id[result.shard_id] = result
+    # The pool's registry is the supervision snapshot: same schema as
+    # the shard snapshots, so artifacts of several runs fold through
+    # merge_snapshots like any other counter family.
+    pool.metrics.counter(
+        "repro_fleet_shard_resumed_total",
+        "Shards restored from resume artifacts instead of rerun"
+    ).inc(len(resumed_ids))
 
     shards = [by_id[shard_id] for shard_id in sorted(by_id)]
     missing = sorted(shard_id for shard_id in range(config.shards)
@@ -590,14 +550,13 @@ def run_fleet(config: FleetConfig,
     }
     wall_s = time.perf_counter() - start
 
-    supervision = dict(stats.as_dict())
+    supervision = dict(pool.stats.as_dict())
     supervision["resumed"] = len(resumed_ids)
     supervision["resumed_shards"] = resumed_ids
     supervision["quarantine_reasons"] = [
-        quarantine_reasons[shard_id]
-        for shard_id in sorted(quarantine_reasons)]
-    supervision["snapshot"] = _supervision_snapshot(stats,
-                                                    len(resumed_ids))
+        failure.summary() for failure in sorted(
+            pool.failures.values(), key=lambda failure: failure.key)]
+    supervision["snapshot"] = pool.metrics.snapshot()
 
     report = FleetReport(
         config=config, workers=workers, shards=shards, totals=totals,

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
 from repro.errors import ReproError
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["SupervisionPolicy", "SupervisionStats", "TaskFailure",
            "SupervisedPool"]
@@ -95,9 +96,10 @@ class SupervisionPolicy:
                    self.backoff_base_s * (2 ** (attempt - 1)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisionStats:
-    """What the supervisor had to do during one dispatch."""
+    """What the supervisor had to do during one dispatch (a view over
+    the pool's counters)."""
 
     retries: int = 0           # re-dispatches scheduled after a failure
     hedges: int = 0            # speculative straggler duplicates launched
@@ -109,11 +111,26 @@ class SupervisionStats:
 
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (the report/artifact form)."""
-        return {"retries": self.retries, "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins, "timeouts": self.timeouts,
-                "worker_deaths": self.worker_deaths,
-                "workers_replaced": self.workers_replaced,
-                "quarantined": self.quarantined}
+        return asdict(self)
+
+
+# The counter family behind each SupervisionStats field.
+_FAMILIES = {
+    "retries": ("repro_fleet_shard_retries_total",
+                "Shard dispatches retried after a failure or timeout"),
+    "hedges": ("repro_fleet_shard_hedges_total",
+               "Speculative straggler duplicates launched"),
+    "hedge_wins": ("repro_fleet_shard_hedge_wins_total",
+                   "Hedged duplicates that returned before the original"),
+    "timeouts": ("repro_fleet_shard_timeouts_total",
+                 "Shard dispatches reaped by the wall-clock watchdog"),
+    "worker_deaths": ("repro_fleet_worker_deaths_total",
+                      "Worker processes found dead and replaced"),
+    "workers_replaced": ("repro_fleet_workers_replaced_total",
+                         "Replacement worker processes spawned"),
+    "quarantined": ("repro_fleet_shard_quarantined_total",
+                    "Shards abandoned after exhausting retries"),
+}
 
 
 @dataclass
@@ -184,7 +201,9 @@ class SupervisedPool:
     ``run(items)`` returns ``{task_id: result}`` for every task that
     completed; tasks that exhausted their attempts land in
     ``self.failures`` (``{task_id: TaskFailure}``) and what the
-    supervisor did is tallied in ``self.stats``.  ``completion_order``
+    supervisor did is counted in ``self.metrics``, a fresh
+    :class:`~repro.telemetry.metrics.MetricsRegistry` per ``run`` that
+    ``self.stats`` reads.  ``completion_order``
     lists task ids in the order their first successful result arrived.
 
     ``chaos`` is consulted per ``(task key, attempt)`` pick — see
@@ -204,12 +223,24 @@ class SupervisedPool:
         self.policy = policy or SupervisionPolicy()
         self.chaos = chaos
         self.task_keys = list(task_keys) if task_keys is not None else None
-        self.stats = SupervisionStats()
-        self.failures: Dict[int, TaskFailure] = {}
-        self.completion_order: List[int] = []
+        self._reset()
         # Test seams: patched by the unit tests to avoid real sleeping.
         self._clock = time.monotonic
         self._sleep = time.sleep
+
+    def _reset(self) -> None:
+        """Fresh counters and outcome records for one dispatch."""
+        self.metrics = MetricsRegistry()
+        self._count = {name: self.metrics.counter(family, text).labels()
+                       for name, (family, text) in _FAMILIES.items()}
+        self.failures: Dict[int, TaskFailure] = {}
+        self.completion_order: List[int] = []
+
+    @property
+    def stats(self) -> SupervisionStats:
+        """What the supervisor did during the last ``run``."""
+        return SupervisionStats(**{name: counter.value for name, counter
+                                   in self._count.items()})
 
     # -- public entry ---------------------------------------------------------
 
@@ -220,9 +251,7 @@ class SupervisedPool:
             raise ReproError(
                 f"task_keys length {len(self.task_keys)} != items "
                 f"{len(items)}")
-        self.stats = SupervisionStats()
-        self.failures = {}
-        self.completion_order = []
+        self._reset()
         if not items:
             return {}
         if self.workers == 1:
@@ -252,16 +281,16 @@ class SupervisedPool:
                     break
                 except Exception as exc:    # noqa: BLE001 - retried below
                     if isinstance(exc, ChaosStall):
-                        self.stats.timeouts += 1
+                        self._count["timeouts"].inc()
                     errors.append(f"attempt {attempt}: "
                                   f"{type(exc).__name__}: {exc}")
                     attempt += 1
                     if attempt > self.policy.max_retries:
                         self.failures[task_id] = TaskFailure(
                             task_id, self._key(task_id), attempt, errors)
-                        self.stats.quarantined += 1
+                        self._count["quarantined"].inc()
                         break
-                    self.stats.retries += 1
+                    self._count["retries"].inc()
                     backoff = self.policy.backoff_s(attempt)
                     if backoff > 0:
                         self._sleep(backoff)
@@ -312,7 +341,7 @@ class SupervisedPool:
                 # marks the slot idle, so the dispatch state must be
                 # restored or the supervisor would assign this worker a
                 # second task and never poll for this dispatch's result.
-                self.stats.worker_deaths += 1
+                self._count["worker_deaths"].inc()
                 replace(slot)
                 slot.task_id = task_id
                 slot.attempt = attempt
@@ -334,7 +363,7 @@ class SupervisedPool:
             fresh = self._spawn(ctx)
             slot.process, slot.conn = fresh.process, fresh.conn
             slot.task_id = None
-            self.stats.workers_replaced += 1
+            self._count["workers_replaced"].inc()
 
         def fail_dispatch(task_id: int, attempt: int, reason: str) -> None:
             active[task_id] -= 1
@@ -352,12 +381,12 @@ class SupervisedPool:
                 self.failures[task_id] = TaskFailure(
                     task_id, self._key(task_id), next_attempt[task_id],
                     errors[task_id])
-                self.stats.quarantined += 1
+                self._count["quarantined"].inc()
                 return
             ready_at = self._clock() + policy.backoff_s(
                 next_attempt[task_id])
             delayed.append((ready_at, task_id))
-            self.stats.retries += 1
+            self._count["retries"].inc()
 
         def on_result(slot: _Slot, msg) -> None:
             task_id, attempt, ok, payload = msg
@@ -369,13 +398,13 @@ class SupervisedPool:
                     results[task_id] = payload
                     self.completion_order.append(task_id)
                     if hedged:
-                        self.stats.hedge_wins += 1
+                        self._count["hedge_wins"].inc()
             else:
                 fail_dispatch(task_id, attempt, payload)
 
         def on_death(slot: _Slot) -> None:
             task_id, attempt = slot.task_id, slot.attempt
-            self.stats.worker_deaths += 1
+            self._count["worker_deaths"].inc()
             # Reap before reading the exit status — on the EOF path the
             # zombie hasn't been waited on yet and exitcode is None,
             # which would hide e.g. a chaos kill's distinctive 117.
@@ -418,7 +447,7 @@ class SupervisedPool:
                             slowest = min(stragglers,
                                           key=lambda s: s.started_at)
                             dispatch(idle[0], slowest.task_id, hedged=True)
-                            self.stats.hedges += 1
+                            self._count["hedges"].inc()
                 # Wait for a result, a death, or the poll tick.
                 waitables = []
                 for slot in slots:
@@ -448,7 +477,7 @@ class SupervisedPool:
                             continue
                         if now - slot.started_at > policy.shard_timeout_s:
                             task_id, attempt = slot.task_id, slot.attempt
-                            self.stats.timeouts += 1
+                            self._count["timeouts"].inc()
                             replace(slot)
                             fail_dispatch(
                                 task_id, attempt,

@@ -167,7 +167,7 @@ class RdmaProvider(ChannelProvider):
                 yield from _copy_in(self.kernel, channel, source.site, size)
                 yield from source.site.execute(
                     POST_WR_NS * count + DOORBELL_NS, context="rdma-channel")
-                self._count(count, size)
+                self._post(count)
                 posted_here = count
                 yield from self.device.run_on_device(WR_ENGINE_NS * count,
                                                      context="rdma-channel")
@@ -180,7 +180,7 @@ class RdmaProvider(ChannelProvider):
                 yield from self.device.run_on_device(
                     POST_WR_NS * count + DOORBELL_NS + WR_ENGINE_NS * count,
                     context="rdma-channel")
-                self._count(count, size)
+                self._post(count)
                 posted_here = count
                 yield from (self.device.dma_to_host(size) if sizes is None
                             else self.device.dma_to_host_vectored(sizes))
@@ -196,7 +196,10 @@ class RdmaProvider(ChannelProvider):
             # the error.
             self.counters.failed.inc(posted_here)
             raise
+        # Only now are they writes: the verb breakdown counts successes.
         self.counters.completed.inc(count)
+        self.counters.writes.inc(count)
+        self.counters.bytes_written.inc(size)
 
     # -- verb API (the raw one-sided surface) -----------------------------------------
 
@@ -256,9 +259,7 @@ class RdmaProvider(ChannelProvider):
 
     # -- internals --------------------------------------------------------------------
 
-    def _count(self, writes: int, bytes_written: int) -> None:
+    def _post(self, writes: int) -> None:
         """Post ``writes`` write WRs behind one doorbell."""
         self.counters.posted.inc(writes)
-        self.counters.writes.inc(writes)
         self.counters.doorbells.inc()
-        self.counters.bytes_written.inc(bytes_written)

@@ -34,6 +34,7 @@ from repro.errors import DeviceFailedError, RdmaError
 from repro.hw.bus import HOST_MEMORY
 from repro.rdma.mr import RdmaRegion
 from repro.sim.engine import Event
+from repro.telemetry.metrics import Law
 
 __all__ = ["WorkRequest", "Completion", "CompletionQueue", "QueuePair",
            "RdmaCounters", "RdmaStats"]
@@ -107,7 +108,6 @@ class CompletionQueue:
         self.kernel = kernel
         self._entries: List[Completion] = []
         self.interrupts = 0
-        self.polls = 0
 
     def push(self, completion: Completion) -> None:
         """Engine-side append (no cost here; the doorbell charges it)."""
@@ -116,7 +116,6 @@ class CompletionQueue:
     def poll(self) -> List[Completion]:
         """Drain every pending completion (non-blocking)."""
         entries, self._entries = self._entries, []
-        self.polls += 1
         return entries
 
     def __len__(self) -> int:
@@ -156,25 +155,25 @@ class RdmaStats:
     @property
     def imbalance(self) -> int:
         """posted - (completed + failed); nonzero = WRs lost in flight."""
-        return self.posted - (self.completed + self.failed)
+        return RDMA_LAW.imbalance(vars(self))
 
     def violations(self, provider: str) -> List[str]:
         """The one-sided conservation law: every posted work request
         ends as exactly one completion, ok or errored, even across an
         engine crash, and the verb breakdown sums to the successes.
         Returns violations naming ``provider`` (empty = law holds)."""
-        violations: List[str] = []
-        if self.imbalance != 0:
-            violations.append(
-                f"provider {provider} leaks work requests: "
-                f"posted={self.posted} completed={self.completed} "
-                f"failed={self.failed} (imbalance {self.imbalance})")
-        if self.reads + self.writes + self.cas != self.completed:
-            violations.append(
-                f"provider {provider} verb breakdown "
-                f"(reads={self.reads} writes={self.writes} cas={self.cas}) "
-                f"does not sum to completed={self.completed}")
-        return violations
+        return RDMA_LAW.check(vars(self), provider=provider)
+
+
+# The one-sided law over one engine's RdmaStats.
+RDMA_LAW = Law(
+    total="posted", parts=("completed", "failed"),
+    leak="provider {provider} leaks work requests: posted={posted} "
+         "completed={completed} failed={failed} (imbalance {imbalance})",
+    breakdown=("reads", "writes", "cas"), within="completed", exact=True,
+    mismatch="provider {provider} verb breakdown (reads={reads} "
+             "writes={writes} cas={cas}) does not sum to "
+             "completed={completed}")
 
 
 # Help of the counter behind each RdmaStats field, exported as

@@ -38,7 +38,6 @@ class AdmissionController:
         self.engaged = False
         self.engaged_at_ns: Optional[int] = None
         self.engagements = 0
-        self.admitted = 0
         self.shed_by_priority: Dict[int, int] = {}
 
     @property
@@ -65,5 +64,4 @@ class AdmissionController:
             self.shed_by_priority[priority] = (
                 self.shed_by_priority.get(priority, 0) + 1)
             return False
-        self.admitted += 1
         return True

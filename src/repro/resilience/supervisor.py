@@ -28,7 +28,7 @@ The supervisor duck-types against :class:`~repro.core.runtime.HydraRuntime`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import HydraError
@@ -73,12 +73,15 @@ class SupervisorConfig:
             raise ValueError("EWMA alpha must be in (0, 1]")
 
 
+_ACTIONS = ("quarantine", "unquarantine", "drain", "shed-on", "shed-off")
+
+
 @dataclass
 class SupervisorDecision:
     """One policy action, for tests and post-mortems."""
 
     at_ns: int
-    action: str         # quarantine | unquarantine | drain | shed-on | shed-off
+    action: str         # one of _ACTIONS
     device: str = ""
     detail: str = ""
 
@@ -94,11 +97,18 @@ class Supervisor:
         self.admission = AdmissionController(
             protect_priority=self.config.protect_priority)
         self.decisions: List[SupervisorDecision] = []
-        self.quarantines = 0
-        self.unquarantines = 0
-        self.drains_started = 0
-        self.drains_completed = 0
-        self.drains_failed = 0
+        # Decision counts by action and drain outcomes: this runtime's
+        # own children, so a namesake runtime's counts never mix in.
+        name = runtime.metrics.name
+        self._decided = {
+            action: runtime.metrics.supervisor_decisions.own(
+                runtime=name, action=action) for action in _ACTIONS}
+        drains = self.sim.metrics.counter(
+            "repro_supervisor_drains_total",
+            help="Drain migrations off quarantined devices, by outcome",
+            labels=("runtime", "outcome"))
+        self._drained = {outcome: drains.own(runtime=name, outcome=outcome)
+                         for outcome in ("completed", "failed")}
         self.retransmit_rate_ewma = 0.0
         # Per-device episode state: transitions before this index are
         # consumed (already led to a decision).
@@ -111,9 +121,20 @@ class Supervisor:
     def _decide(self, decision: SupervisorDecision) -> None:
         """Log one policy action and count it in the runtime's metrics."""
         self.decisions.append(decision)
-        metrics = self.runtime.metrics
-        metrics.supervisor_decisions.labels(
-            runtime=metrics.name, action=decision.action).inc()
+        self._decided[decision.action].inc()
+
+    quarantines = property(lambda self: self._decided["quarantine"].value,
+                           doc="Quarantine decisions (one per episode).")
+    unquarantines = property(
+        lambda self: self._decided["unquarantine"].value,
+        doc="Devices returned to service after probation.")
+    drains_started = property(lambda self: self._decided["drain"].value,
+                              doc="Drain migrations attempted.")
+    drains_completed = property(
+        lambda self: self._drained["completed"].value,
+        doc="Drain migrations that completed.")
+    drains_failed = property(lambda self: self._drained["failed"].value,
+                             doc="Drain migrations that failed.")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -165,7 +186,6 @@ class Supervisor:
         self.runtime.executive.invalidate_cost_cache()
         self._quarantined_at[device] = now
         self._probation_deadline[device] = now + self.config.probation_ns
-        self.quarantines += 1
         self._decide(SupervisorDecision(
             at_ns=now, action="quarantine", device=device,
             detail=f"{recoveries} recoveries in flap window"))
@@ -209,7 +229,6 @@ class Supervisor:
             if watchdog is not None:
                 self._episode_start[device] = len(
                     watchdog.transitions_of(device))
-            self.unquarantines += 1
             self._decide(SupervisorDecision(
                 at_ns=now, action="unquarantine", device=device,
                 detail="probation served"))
@@ -226,18 +245,17 @@ class Supervisor:
         victims = [bindname for bindname in sorted(device_runtime.offcodes)
                    if not bindname.startswith("hydra.")]
         for bindname in victims:
-            self.drains_started += 1
             self._decide(SupervisorDecision(
                 at_ns=self.sim.now, action="drain", device=device,
                 detail=bindname))
             try:
                 yield from runtime.migrate(bindname)
             except HydraError as exc:
-                self.drains_failed += 1
+                self._drained["failed"].inc()
                 trace_emit(self.sim, "fault",
                            f"drain of {bindname} off {device} failed: {exc}")
             else:
-                self.drains_completed += 1
+                self._drained["completed"].inc()
 
     # -- brownout / admission control -------------------------------------------
 

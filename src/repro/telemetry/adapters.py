@@ -2,9 +2,11 @@
 
 Subsystems count straight into their simulator's ``sim.metrics``; this
 module only keeps the stable import path of the two law checks.  Each
-law is evaluated in one place — :func:`repro.core.channel.conservation`
-and :meth:`repro.rdma.verbs.RdmaStats.violations` — which also feeds
-the exported imbalance and violation gauges.
+law is a :class:`~repro.telemetry.metrics.Law` evaluated by
+:meth:`~repro.telemetry.metrics.Law.check` — through
+:func:`repro.core.channel.conservation` and
+:meth:`repro.rdma.verbs.RdmaStats.violations`, which also feed the
+exported imbalance and violation gauges.
 """
 
 from __future__ import annotations

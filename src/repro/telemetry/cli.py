@@ -2,8 +2,9 @@
 
 Runs a packaged scenario with telemetry attached and writes the three
 artifact files (Perfetto-loadable Chrome trace, Prometheus text, JSON
-snapshot), then validates them — a malformed artifact or an incomplete
-span tree exits non-zero, which is what the CI smoke job keys on.
+snapshot), then validates them — a malformed artifact, an incomplete
+span tree or a non-zero ``*_conservation_violations`` sample in the
+written snapshot exits non-zero, which is what the CI smoke job keys on.
 
 Scenarios:
 
@@ -116,6 +117,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         problems += validate_prometheus_text(fh.read())
     if args.scenario == "tivopc":
         problems += _check_completeness(telemetry)
+    # A broken conservation law fails the run like a malformed artifact.
+    with open(paths["snapshot"]) as fh:
+        metrics = json.load(fh)["metrics"]
+    problems += [
+        f"conservation law broken: {name}{sample['labels']} = "
+        f"{sample['value']}" for name, family in sorted(metrics.items())
+        if name.endswith("_conservation_violations")
+        for sample in family["samples"] if sample["value"]]
 
     with open(paths["chrome"]) as fh:
         n_events = len(json.load(fh)["traceEvents"])
@@ -128,8 +137,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {kind}: {path}")
     if problems:
         for problem in problems:
-            print(f"MALFORMED: {problem}", file=sys.stderr)
+            print(f"FAILED: {problem}", file=sys.stderr)
         return 1
     print("artifacts validated: trace parses, spans are causal, "
-          "exposition is well-formed")
+          "exposition is well-formed, conservation laws hold")
     return 0

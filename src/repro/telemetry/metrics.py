@@ -2,11 +2,12 @@
 
 Every :class:`~repro.sim.engine.Simulator` owns one registry
 (``sim.metrics``) and it is the only counter store of a run: the
-subsystems that bump a total — channels, buses, RDMA verbs, the fault
-injector, the watchdog, the supervisor, the marshal callers — register
-their families at construction, keep the label children they own, and
-increment them in place.  Their stats APIs (``ChannelStats``,
-``RdmaStats``, ``bus.bytes_moved`` ...) are views over those children.
+subsystems that bump a total — channels and their batchers, buses, RDMA
+verbs, the fault injector, the watchdog, the supervisor, the marshal
+callers — register their families at construction, keep the label
+children they own, and increment them in place.  Their stats APIs
+(``ChannelStats``, ``BatcherStats``, ``RdmaStats``, ``bus.bytes_moved``
+...) are views over those children.
 Values that are derived from state an owner already keeps (the engine's
 per-event ints, incident and migration outcomes) are refreshed by a
 *collector* the owner registers, which runs at snapshot time::
@@ -16,6 +17,10 @@ per-event ints, incident and migration outcomes) are refreshed by a
     mine = sent.own(runtime="client", channel="3", label="media")
     mine.inc()
 
+The conservation laws over those counts are data as well: each is a
+:class:`Law` next to the owner whose books it reads, and
+:meth:`Law.check` is the one evaluator of all of them.
+
 No wall-clock anywhere: values come from simulation state, so snapshots
 of a seeded run are deterministic.
 """
@@ -24,12 +29,14 @@ from __future__ import annotations
 
 import bisect
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.errors import ReproError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricFamily",
-           "MetricsRegistry", "DEFAULT_BUCKETS"]
+           "MetricsRegistry", "DEFAULT_BUCKETS", "Law"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -327,3 +334,42 @@ class MetricsRegistry:
             out[family.name] = {"type": family.kind, "help": family.help,
                                 "samples": samples}
         return out
+
+
+@dataclass(frozen=True)
+class Law:
+    """A conservation law over one owner's books, as data.
+
+    The law holds when ``total - sum(parts)`` (the *imbalance*) lies in
+    ``[0, slack]`` and, if a ``breakdown`` is named, its counts sum to
+    at most ``within`` (exactly ``within`` when ``exact``).  ``leak``
+    and ``mismatch`` are the violation texts of the two clauses,
+    formatted over the books, the caller's context and ``imbalance``.
+    """
+
+    total: str
+    parts: Tuple[str, ...]
+    leak: str
+    breakdown: Tuple[str, ...] = ()
+    within: str = ""
+    exact: bool = False
+    mismatch: str = ""
+
+    def imbalance(self, books: Mapping[str, Any]) -> int:
+        """``total - sum(parts)``: what the books cannot account for."""
+        return books[self.total] - sum(books[part] for part in self.parts)
+
+    def check(self, books: Mapping[str, Any], slack: int = 0,
+              **context: Any) -> List[str]:
+        """The violations of this law in ``books`` (empty = it holds)."""
+        imbalance = self.imbalance(books)
+        leaks = not 0 <= imbalance <= slack
+        split = sum(books[part] for part in self.breakdown)
+        mismatched = bool(self.breakdown) and (
+            split != books[self.within] if self.exact
+            else split > books[self.within])
+        if not (leaks or mismatched):
+            return []
+        fields = {**books, **context, "imbalance": imbalance}
+        return [text.format(**fields) for text, broken in
+                ((self.leak, leaks), (self.mismatch, mismatched)) if broken]

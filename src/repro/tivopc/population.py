@@ -41,6 +41,7 @@ from repro.media.decoder import ChunkDecodeModel
 from repro.media.mpeg import StreamConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.telemetry.metrics import Law
 
 __all__ = ["PopulationConfig", "SubscriberStats", "PopulationResult",
            "FidelityTolerances", "FidelityValidation", "CHUNK_TOLERANCES",
@@ -108,7 +109,15 @@ class SubscriberStats:
 
     def conservation_imbalance(self) -> int:
         """``sent - (delivered + lost)`` — must be exactly 0."""
-        return self.chunks_sent - (self.chunks_delivered + self.chunks_lost)
+        return CHUNK_LAW.imbalance(vars(self))
+
+
+# The chunk law over a subscriber's stats or a population's totals;
+# ``where`` names the books that broke it.
+CHUNK_LAW = Law(
+    total="chunks_sent", parts=("chunks_delivered", "chunks_lost"),
+    leak="{where}: sent {chunks_sent} != delivered {chunks_delivered} "
+         "+ lost {chunks_lost}")
 
 
 @dataclass

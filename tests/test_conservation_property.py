@@ -6,20 +6,27 @@ metrics registry exports.  Hypothesis writes random counter totals into
 a live channel's and a live RDMA provider's counters (through the
 simulator's registry, the store their stats read from) and checks that
 a violation is reported exactly when a law is broken and that the
-exported imbalance gauge equals the law's imbalance.
+exported imbalance gauge equals the law's imbalance.  The fleet's chunk
+law gets the same treatment over random per-client books run through
+the fleet runner itself.
 """
+
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel import ChannelConfig
 from repro.core.runtime import HydraRuntime
+from repro.evaluation import fleet
 from repro.hw import Machine
 from repro.hw.nic import NicSpec
 from repro.rdma.provider import RDMA_FEATURE
 from repro.sim import Simulator
 from repro.telemetry.adapters import (check_channel_conservation,
                                       check_rdma_conservation)
+from repro.tivopc.population import (PopulationConfig, PopulationResult,
+                                     SubscriberStats)
 
 
 def sample(snapshot, metric, **labels):
@@ -107,3 +114,44 @@ def test_rdma_law_reports_exactly_the_broken_books(totals):
                   **label) == imbalance
     assert sample(snapshot, "repro_rdma_conservation_violations",
                   **label) == len(violations)
+
+
+@st.composite
+def fleet_books(draw):
+    """Per-client ``(sent, delivered, lost)`` near the balanced point,
+    split into a random number of shards."""
+    books = []
+    for _ in range(draw(st.integers(1, 6))):
+        delivered = draw(st.integers(0, 5))
+        lost = draw(st.integers(0, 3))
+        sent = max(0, delivered + lost + draw(st.integers(-1, 1)))
+        books.append((sent, delivered, lost))
+    return books, draw(st.integers(1, len(books)))
+
+
+@given(drawn=fleet_books())
+@settings(max_examples=60, deadline=None)
+def test_fleet_law_reports_exactly_the_broken_books(drawn):
+    books, shards = drawn
+
+    def population(gids, config, stream_seed=None):
+        return PopulationResult(
+            "chunk", [SubscriberStats(gid, *books[gid]) for gid in gids],
+            events=0, sim_ns=0)
+
+    config = fleet.FleetConfig(
+        population=PopulationConfig(clients=len(books)), shards=shards)
+    with patch.object(fleet, "run_population", population):
+        report = fleet.run_fleet(config)
+
+    expected = [
+        f"shard {shard_id} client {gid}: sent {books[gid][0]} != "
+        f"delivered {books[gid][1]} + lost {books[gid][2]}"
+        for shard_id, gids in enumerate(fleet.partition(len(books), shards))
+        for gid in gids if books[gid][0] != books[gid][1] + books[gid][2]]
+    sent, delivered, lost = (sum(column) for column in zip(*books))
+    if sent != delivered + lost:
+        expected.append(f"aggregate conservation: sent {sent} != "
+                        f"delivered {delivered} + lost {lost}")
+    assert report.violations == expected
+    assert report.ok == (not expected)

@@ -1,5 +1,7 @@
 """Tests for the one-sided RDMA substrate: regions, verbs, provider."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DeviceFailedError, HydraError, ProviderError, RdmaError
@@ -11,9 +13,11 @@ from repro.core.runtime import HydraRuntime
 from repro.core.sites import DeviceSite, HostSite
 from repro.hw import Machine, NicSpec
 from repro.rdma.mr import RdmaRegion
+from repro.rdma.kv import run_kv_chaos
 from repro.rdma.provider import RDMA_FEATURE, RdmaProvider
 from repro.rdma.verbs import CAS_WIRE_BYTES, CompletionQueue
 from repro.sim import Simulator
+from repro.telemetry.adapters import check_rdma_conservation
 
 
 class World:
@@ -255,3 +259,40 @@ def test_runtime_registers_rdma_provider_per_featured_device():
     assert provider.name == f"rdma-{nic.name}"
     with pytest.raises(HydraError):
         runtime.rdma_provider("gpu0")      # no rdma feature, no provider
+
+
+# -- the one-sided law on the channel path and in the chaos drill ----------------------
+
+def test_channel_write_lost_to_a_crash_is_failed_not_a_write(world):
+    """A write WR the dead engine never ran counts as failed only: the
+    verb breakdown counts successes, so it still sums to completed."""
+    executive = ChannelExecutive()
+    executive.register_provider(world.provider)
+    channel = executive.create_channel(ChannelConfig(), world.host_site)
+    executive.connect_site(channel, world.nic_site)
+    world.nic.health.crash()
+
+    def app():
+        with pytest.raises(DeviceFailedError):
+            yield from channel.creator_endpoint.write("payload", 64)
+        return world.provider.stats
+
+    stats = world.run(app())
+    assert (stats.posted, stats.failed, stats.writes) == (1, 1, 0)
+    assert check_rdma_conservation(world.provider) == []
+
+
+def test_kv_chaos_verdict_includes_the_verb_breakdown(monkeypatch):
+    """Books that balance ``posted == completed + failed`` but count a
+    read that never completed fail the drill's conservation verdict."""
+    honest = RdmaProvider.stats.fget
+
+    def one_read_too_many(provider):
+        stats = honest(provider)
+        return replace(stats, reads=stats.reads + 1)
+
+    monkeypatch.setattr(RdmaProvider, "stats", property(one_read_too_many))
+    report = run_kv_chaos(seed=0)
+    assert report["posted"] == report["completed"] + report["failed"]
+    assert not report["conservation_ok"]
+    assert not report["ok"]

@@ -3,7 +3,8 @@
 Long random operation interleavings against reference models for the
 two allocators whose corruption would silently poison everything above
 them: the device memory allocator (loader correctness) and the resource
-tree (teardown correctness).
+tree (teardown correctness); and for the supervised dispatcher, whose
+retry/quarantine bookkeeping decides what a fleet report contains.
 """
 
 from hypothesis import settings
@@ -17,6 +18,9 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.errors import DeviceMemoryError, ResourceError
+from repro.evaluation.supervised import (SupervisedPool, SupervisionPolicy,
+                                         TaskFailure)
+from repro.faults.fleet import FleetChaos
 from repro.hw.device import DeviceMemoryAllocator
 from repro.core.resources import ResourceTree
 
@@ -137,6 +141,75 @@ class ResourceTreeMachine(RuleBasedStateMachine):
         assert len(self.finalized) == len(set(self.finalized))
 
 
+def _tenfold(value):
+    return value * 10
+
+
+class SupervisedPoolMachine(RuleBasedStateMachine):
+    """Tasks with planned worker kills vs a retry/quarantine model.
+
+    Each task plans ``kills`` chaos kills, one per attempt from attempt
+    0.  A task with at most ``max_retries`` of them must return its
+    value exactly once; the rest run out of attempts and are
+    quarantined.  In-process dispatch (one worker) raises instead of
+    killing, so only the forked path counts worker deaths.
+    """
+
+    POLICY = SupervisionPolicy(max_retries=1, backoff_base_s=0.0,
+                               backoff_cap_s=0.0, hedge=False, poll_s=0.005)
+
+    def __init__(self):
+        super().__init__()
+        self.kills = []           # planned kills per task, in task order
+        self.last = None          # (workers, kills, pool, results)
+
+    @rule(kills=st.integers(0, POLICY.max_retries + 1))
+    def add_task(self, kills):
+        self.kills.append(kills)
+
+    @rule(workers=st.sampled_from([1, 2]))
+    def dispatch(self, workers):
+        keys = [f"task-{i}" for i in range(len(self.kills))]
+        chaos = FleetChaos(kills=tuple(
+            (key, attempt) for key, planned in zip(keys, self.kills)
+            for attempt in range(planned)))
+        pool = SupervisedPool(_tenfold, workers=workers, policy=self.POLICY,
+                              chaos=chaos, task_keys=keys)
+        results = pool.run(range(len(keys)))
+        self.last = (workers, list(self.kills), pool, results)
+
+    @invariant()
+    def dispatch_matches_the_model(self):
+        if self.last is None:
+            return
+        workers, kills, pool, results = self.last
+        limit = self.POLICY.max_retries
+        survivors = [i for i, planned in enumerate(kills) if planned <= limit]
+        assert results == {i: i * 10 for i in survivors}
+        assert sorted(pool.completion_order) == survivors
+        assert sorted(pool.failures) == [
+            i for i, planned in enumerate(kills) if planned > limit]
+        for task_id, failure in pool.failures.items():
+            assert isinstance(failure, TaskFailure)
+            assert failure.key == f"task-{task_id}"
+            assert failure.attempts == limit + 1
+        expected = {
+            "retries": sum(min(planned, limit) for planned in kills),
+            "quarantined": len(pool.failures),
+            "worker_deaths": 0 if workers == 1 else sum(
+                min(planned, limit + 1) for planned in kills),
+        }
+        stats = pool.stats.as_dict()
+        snapshot = pool.metrics.snapshot()
+        for name, family in (("retries", "repro_fleet_shard_retries_total"),
+                             ("quarantined",
+                              "repro_fleet_shard_quarantined_total"),
+                             ("worker_deaths",
+                              "repro_fleet_worker_deaths_total")):
+            (sample,) = snapshot[family]["samples"]
+            assert stats[name] == sample["value"] == expected[name], name
+
+
 TestAllocatorStateful = AllocatorMachine.TestCase
 TestAllocatorStateful.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None)
@@ -144,3 +217,8 @@ TestAllocatorStateful.settings = settings(
 TestResourceTreeStateful = ResourceTreeMachine.TestCase
 TestResourceTreeStateful.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None)
+
+# Forked dispatches dominate the cost: this runs in a few seconds.
+TestSupervisedPoolStateful = SupervisedPoolMachine.TestCase
+TestSupervisedPoolStateful.settings = settings(
+    max_examples=60, stateful_step_count=10, deadline=None)

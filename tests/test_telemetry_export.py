@@ -225,3 +225,40 @@ def test_cli_tivopc_scenario(tmp_path, capsys):
             event["cat"])
     assert any({"proxy", "marshal", "channel", "bus", "device",
                 "reply"} <= cats for cats in by_trace.values())
+
+
+def test_cli_fails_on_a_conservation_violation(tmp_path, capsys,
+                                               monkeypatch):
+    """A violation gauge of 1 in the written snapshot fails the run and
+    names the offending sample, even when every artifact is well-formed."""
+    from repro.telemetry import cli
+
+    def violated(seed, seconds):
+        telemetry = cli.run_tivopc(seed, seconds)
+        telemetry.registry.gauge(
+            "repro_channel_conservation_violations",
+            labels=("runtime",)).labels(runtime="injected").set(1)
+        return telemetry
+
+    monkeypatch.setitem(cli._SCENARIOS, "violated", violated)
+    assert cli.main(["--scenario", "violated", "--seconds", "0.8",
+                     "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAILED: conservation law broken: "
+        "repro_channel_conservation_violations{'runtime': 'injected'} = 1"]
+
+
+@pytest.mark.parametrize("scenario", ["tivopc", "chaos"])
+def test_cli_seed0_scenarios_hold_every_law(scenario, tmp_path, capsys):
+    """The packaged scenarios export the violation gauges the gate reads,
+    and every one of them is zero."""
+    from repro.telemetry.cli import main
+
+    assert main(["--scenario", scenario, "--seed", "0", "--seconds", "0.8",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{scenario}-seed0.snapshot.json") as fh:
+        metrics = json.load(fh)["metrics"]
+    gauges = [name for name in metrics
+              if name.endswith("_conservation_violations")]
+    assert "repro_channel_conservation_violations" in gauges
+    assert not capsys.readouterr().err
