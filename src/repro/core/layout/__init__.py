@@ -31,7 +31,6 @@ from repro.core.layout.solver import (
     GreedySolver,
     ScipyMilpSolver,
     SolveResult,
-    default_solver,
 )
 
 __all__ = [
@@ -59,6 +58,5 @@ __all__ = [
     "ScipyMilpSolver",
     "SolveResult",
     "build_ilp",
-    "default_solver",
     "parse_constraint_type",
 ]

@@ -24,7 +24,7 @@ from repro.core.depot import OffcodeDepot
 from repro.core.layout.constraints import Constraint
 from repro.core.layout.graph import HOST_INDEX, LayoutGraph
 from repro.core.layout.objectives import MaximizeOffloading, Objective
-from repro.core.layout.solver import SolveResult, default_solver
+from repro.core.layout.solver import BranchAndBoundSolver, SolveResult
 from repro.core.odf import OdfDocument
 from repro.hw.device import DeviceClass, ProgrammableDevice
 from repro.hw.machine import Machine
@@ -62,7 +62,7 @@ class OffloadLayoutResolver:
                  solver=None) -> None:
         self.machine = machine
         self.depot = depot
-        self.solver = solver or default_solver()
+        self.solver = solver or BranchAndBoundSolver()
 
     # -- graph construction ---------------------------------------------------------
 

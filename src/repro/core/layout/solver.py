@@ -7,8 +7,9 @@ baseline are provided:
 * :class:`BranchAndBoundSolver` — exact, from scratch: depth-first
   search over the per-Offcode placement groups with interval-based
   constraint propagation and an optimistic objective bound.
-* :class:`ScipyMilpSolver` — delegates to ``scipy.optimize.milp`` when
-  SciPy is installed (the "any ILP solver" plug-in point).
+* :class:`ScipyMilpSolver` — delegates to ``scipy.optimize.milp``: the
+  "any ILP solver" plug-in point, used only when passed explicitly (the
+  tests use it as an independent oracle).
 * :class:`GreedySolver` — the baseline the paper argues against:
   "simple graphs are usually trivial to solve, while for complex
   scenarios a greedy solution is not always optimal".  It places
@@ -29,7 +30,7 @@ from repro.core.layout.graph import HOST_INDEX
 from repro.core.layout.ilp import EQ, IlpProblem, LE
 
 __all__ = ["SolveResult", "BranchAndBoundSolver", "ScipyMilpSolver",
-           "GreedySolver", "default_solver"]
+           "GreedySolver"]
 
 
 @dataclass
@@ -288,9 +289,3 @@ class GreedySolver:
             objective=problem.objective_value(values),
             solver=self.name, optimal=False)
 
-
-def default_solver():
-    """SciPy's MILP when present, else the built-in branch and bound."""
-    if ScipyMilpSolver.available():
-        return ScipyMilpSolver()
-    return BranchAndBoundSolver()

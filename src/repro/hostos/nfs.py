@@ -97,7 +97,6 @@ class NfsServer:
         self.socket = self.stack.socket(NFS_PORT)
         self.files: Dict[str, int] = {}   # handle -> stored byte count
         self.reads_served = 0
-        self.writes_served = 0
 
     def start(self) -> None:
         """Spawn the serve loop on the NAS kernel."""
@@ -127,7 +126,6 @@ class NfsServer:
             end = request.offset + request.size
             if end > self.files.get(request.handle, 0):
                 self.files[request.handle] = end
-            self.writes_served += 1
             response = NfsResponse(req_id=request.req_id, size=request.size)
             wire = _RESPONSE_OVERHEAD_BYTES
         else:

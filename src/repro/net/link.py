@@ -50,7 +50,6 @@ class Link:
         self.name = name
         self._wire = Resource(sim, capacity=1)
         self.packets_carried = 0
-        self.bytes_carried = 0
 
     def send(self, packet: Packet) -> None:
         """Begin transmitting ``packet`` (returns immediately)."""
@@ -73,7 +72,6 @@ class Link:
             delay += abs(round(self.rng.gauss(0, self.spec.jitter_sigma_ns)))
         yield self.sim.clock.after(delay)
         self.packets_carried += 1
-        self.bytes_carried += packet.wire_bytes
         self.deliver(packet)
 
     def serialization_ns(self, packet: Packet) -> int:

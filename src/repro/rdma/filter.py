@@ -57,7 +57,6 @@ class FlowTelemetryOffcode(Offcode):
         self.blocked_ports: set = set()
         self.sample_every = 0                     # 0 = no sampling
         self._seen = 0
-        self._handled = 0
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -90,7 +89,7 @@ class FlowTelemetryOffcode(Offcode):
         return None
 
     def _completion(self, packet) -> None:
-        self._handled += 1
+        """Nothing to record; the NIC still charges ``completion_ns``."""
 
     # -- IFlowTelemetry --------------------------------------------------------------
 

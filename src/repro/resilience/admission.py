@@ -23,7 +23,7 @@ every channel immediately.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["AdmissionController"]
 
@@ -36,7 +36,6 @@ class AdmissionController:
         # while engaged; >= passes untouched.
         self.protect_priority = protect_priority
         self.engaged = False
-        self.engaged_at_ns: Optional[int] = None
         self.engagements = 0
         self.shed_by_priority: Dict[int, int] = {}
 
@@ -45,18 +44,16 @@ class AdmissionController:
         """Calls refused across all priorities."""
         return sum(self.shed_by_priority.values())
 
-    def engage(self, now_ns: Optional[int] = None) -> None:
+    def engage(self) -> None:
         """Start shedding (idempotent)."""
         if self.engaged:
             return
         self.engaged = True
-        self.engaged_at_ns = now_ns
         self.engagements += 1
 
     def disengage(self) -> None:
         """Stop shedding (idempotent)."""
         self.engaged = False
-        self.engaged_at_ns = None
 
     def admit(self, priority: int) -> bool:
         """Admission decision for one call on a channel of ``priority``."""

@@ -271,7 +271,7 @@ class Supervisor:
             + (1.0 - config.ewma_alpha) * self.retransmit_rate_ewma)
         if (not self.admission.engaged
                 and self.retransmit_rate_ewma > config.brownout_enter):
-            self.admission.engage(self.sim.now)
+            self.admission.engage()
             self._decide(SupervisorDecision(
                 at_ns=self.sim.now, action="shed-on",
                 detail=f"retransmit EWMA {self.retransmit_rate_ewma:.0f}/s"))

@@ -1,6 +1,10 @@
 """Tests for the Section 5 layout machinery: graph, ILP, solvers."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -347,3 +351,37 @@ def test_property_greedy_never_beats_exact_and_is_valid(graph):
         return   # greedy may paint itself into a corner; that's its flaw
     assert graph.check_placement(greedy.placement) == []
     assert greedy.objective <= exact.objective + 1e-9
+
+
+# -- the default layout path stays free of SciPy ----------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from repro.rdma.kv import build_kv_world, deploy_cache
+from repro.tivopc import OffloadedClient, OffloadedServer, Testbed, TestbedConfig
+
+testbed = Testbed(TestbedConfig(seed=1))
+testbed.start()
+OffloadedClient(testbed, host_fallback=True).start()
+OffloadedServer(testbed).start()
+testbed.run(0.3)
+world = build_kv_world()
+world.sim.run_until_event(world.sim.spawn(deploy_cache(world)))
+print("scipy" in sys.modules)
+"""
+
+
+def test_default_layout_path_never_imports_scipy():
+    """Testbeds and the KV cache solve layouts with branch-and-bound only.
+
+    Runs in a fresh interpreter, because another test in this process
+    may already have imported SciPy for the oracle solver.
+    """
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=120, check=True)
+    assert completed.stdout.strip().splitlines()[-1] == "False"

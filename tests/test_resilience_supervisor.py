@@ -320,12 +320,12 @@ def test_holding_gate_parks_sheds_and_releases():
 def test_admission_controller_sheds_below_protected_priority():
     controller = AdmissionController(protect_priority=2)
     assert controller.admit(0) and controller.admit(1)
-    controller.engage(now_ns=1_000)
+    controller.engage()
     assert controller.engagements == 1
     assert controller.admit(2)               # protected class passes
     assert not controller.admit(1)
     assert not controller.admit(0)
-    controller.engage(now_ns=2_000)          # idempotent
+    controller.engage()                      # idempotent
     assert controller.engagements == 1
     controller.disengage()
     assert controller.admit(1)
@@ -339,7 +339,7 @@ def test_executive_sheds_calls_while_engaged(world):
     controller = AdmissionController(protect_priority=2)
     # set_admission stamps existing channels too, not just new ones.
     runtime.executive.set_admission(controller)
-    controller.engage(now_ns=sim.now)
+    controller.engage()
 
     def poke():
         yield from result.proxy.Poke()
