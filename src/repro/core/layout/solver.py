@@ -22,6 +22,7 @@ All solvers share the :class:`SolveResult` contract and raise
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -183,11 +184,8 @@ class ScipyMilpSolver:
 
     @staticmethod
     def available() -> bool:
-        try:
-            from scipy.optimize import milp  # noqa: F401
-            return True
-        except ImportError:
-            return False
+        """Whether SciPy is installed (answered without importing it)."""
+        return importlib.util.find_spec("scipy") is not None
 
     def solve(self, problem: IlpProblem) -> SolveResult:
         """Delegate to scipy.optimize.milp and translate the solution back."""

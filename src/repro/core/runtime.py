@@ -204,7 +204,8 @@ class RuntimeMetrics:
     those parts bind their own label children when armed.
     :meth:`collect` refreshes, at snapshot time, the values derived from
     the runtime's logs: the channel conservation law, incidents and
-    migrations by outcome, quarantined devices and admission shedding.
+    migrations by outcome, quarantined devices and whether admission
+    control is engaged (admission sheds count in place).
     """
 
     def __init__(self, registry, name: str) -> None:
@@ -247,11 +248,10 @@ class RuntimeMetrics:
         self.supervisor_decisions = family(
             "counter", "repro_supervisor_decisions_total",
             "Supervisor policy decisions by action", "action")
-        self._admission_shed = family(
+        self.admission_shed = family(
             "counter", "repro_admission_shed_total",
             "Calls shed by admission control, by channel priority",
             "priority")
-        self._shed_by_priority: Dict[int, object] = {}
         self.admission_engaged = mine(
             "gauge", "repro_admission_engaged",
             "1 while priority-aware load shedding is engaged")
@@ -279,13 +279,8 @@ class RuntimeMetrics:
             sum(record.shed for record in runtime.migrations))
         self.quarantined.set(len(runtime.quarantined_devices))
         if runtime.supervisor is not None:
-            admission = runtime.supervisor.admission
-            for priority, count in admission.shed_by_priority.items():
-                if priority not in self._shed_by_priority:
-                    self._shed_by_priority[priority] = self._admission_shed \
-                        .own(runtime=self.name, priority=priority)
-                self._shed_by_priority[priority].set_total(count)
-            self.admission_engaged.set(1 if admission.engaged else 0)
+            self.admission_engaged.set(
+                1 if runtime.supervisor.admission.engaged else 0)
 
 
 class HydraRuntime:

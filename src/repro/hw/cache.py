@@ -23,7 +23,8 @@ mechanisms keep this off the event loop's critical path:
   hit/miss classification inline — callers fire ranged touches and the
   counters are only read at observation points (samplers, end-of-run
   metrics, tests).  :meth:`Cache.touch_range` therefore just appends
-  ``(first_line, last_line, write)`` to an op log; the log is replayed
+  ``first_line, last_line, write`` to an op log of packed int64 slots
+  (three per entry, so a drain copies one buffer); the log is replayed
   in order — exactly, including LRU state — the moment anything
   observes the cache (``stats``, :meth:`access`, :meth:`access_range`,
   :meth:`contains`, :attr:`resident_lines`, :meth:`flush`, or a
@@ -45,28 +46,32 @@ mechanisms keep this off the event loop's critical path:
   (real tags are non-negative, so sentinels can never hit, and evicting
   one is exactly the real model's "insert into a not-yet-full set"),
   which removes the fill/evict branch without changing any counter.
-  Without numpy the model falls back to per-set ordered dicts and a
-  per-line loop; the op log works identically, and the tests use that
-  model as the reference for the replay.
+  numpy and the replay arrays are loaded at a cache's first replay: a
+  cache that is never replayed stays in its all-sentinel initial state
+  and costs neither.  Without numpy the model falls back to per-set
+  ordered dicts and a per-line loop; the op log works identically, and
+  the tests use that model as the reference for the replay.
 """
 
 from __future__ import annotations
 
+import importlib.util
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import HardwareError
 
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments only
-    _np = None
+# Where numpy would load from, or None: a cache built while this is None
+# runs the dict model.  Looking it up does not import numpy; the first
+# replay does (:meth:`Cache._arrays`).
+_np = importlib.util.find_spec("numpy")
 
 __all__ = ["CacheConfig", "CacheStats", "Cache", "StatsPin"]
 
-# Forced-drain threshold for the deferred-access log.  Big enough that a
-# busy simulated second logs freely, small enough to bound memory (each
-# entry is one small tuple).
+# Forced-drain threshold for the deferred-access log, in entries.  Big
+# enough that a busy simulated second logs freely, small enough to bound
+# memory (each entry is three packed int64 slots, 24 bytes).
 _OPLOG_CAP = 65536
 
 # Lines per replay slice: enough that each replay step updates a few
@@ -180,12 +185,12 @@ class StatsPin:
 class Cache:
     """A set-associative write-back LRU cache.
 
-    With numpy the state is three ``(ways, sets)`` arrays: ``_tags``
-    (int64, sentinels negative), ``_dirty`` (bool) and ``_keys``.  A
-    way's key is its flat index ``way * sets + set`` minus its last-use
-    step times ``_span``, a power of two above every flat index, so the
-    largest key in a set's column is its LRU way and the key's low bits
-    name that way's flat index.  Ranged touches replay set-parallel
+    With numpy the state is three ``(ways, sets)`` arrays, built at the
+    first replay: ``_tags`` (int64, sentinels negative), ``_dirty``
+    (bool) and ``_keys``.  A way's key is its flat index ``way * sets +
+    set`` minus its last-use step times ``_span``, a power of two above
+    every flat index, so the largest key in a set's column is its LRU
+    way and the key's low bits name that way's flat index.  Ranged touches replay set-parallel
     (:meth:`_replay`); a single :meth:`access` updates one column.
     Without numpy the model keeps one ordered dict per set (tag ->
     dirty, insertion order = LRU order) and loops per line; that model
@@ -203,9 +208,10 @@ class Cache:
         self.config = config or CacheConfig()
         self.name = name
         self._stats = CacheStats()
-        # Deferred (first_line, last_line, write) touches awaiting
-        # classification, and unresolved StatsPins into that log.
-        self._oplog: List[Tuple[int, int, bool]] = []
+        # Deferred touches awaiting classification, packed three slots
+        # per entry (first_line, last_line, write), and unresolved
+        # StatsPins into that log.
+        self._oplog = array("q")
         self._pins: List[StatsPin] = []
         # Installed by the host kernel (repro.hostos.kernel): logs its
         # due timer-tick touches before any other use of the cache.
@@ -214,24 +220,15 @@ class Cache:
         self._line_shift = self.config.line_bytes.bit_length() - 1
         self._index_bits = self._set_mask.bit_length()
         self._ways = self.config.associativity
-        num_sets = self.config.num_sets
-        ways = self._ways
         # Sentinel prefill: unique negative tags per set keep every set
         # exactly `ways` entries deep (see module docstring).
-        self._sentinels = list(range(-ways, 0))
-        if _np is not None:
-            self._tags = _np.repeat(
-                _np.arange(-ways, 0, dtype=_np.int64)[:, None], num_sets, 1)
-            self._dirty = _np.zeros((ways, num_sets), dtype=bool)
-            self._span = 1 << (ways * num_sets - 1).bit_length()
-            self._keys = _np.arange(ways * num_sets,
-                                    dtype=_np.int64).reshape(ways, num_sets)
-            self._clock = 0     # replay steps so far; the age of a touch
-            self._dictsets: List[dict] = []
-        else:
-            self._tags = None
-            self._dictsets = [
-                dict.fromkeys(self._sentinels, False) for _ in range(num_sets)]
+        self._sentinels = list(range(-self._ways, 0))
+        # numpy model: no arrays until the first replay (_arrays).
+        self._tags = None
+        self._dictsets: Optional[List[dict]] = None
+        if _np is None:
+            self._dictsets = [dict.fromkeys(self._sentinels, False)
+                              for _ in range(self.config.num_sets)]
 
     # -- observation & laziness --------------------------------------------
 
@@ -259,7 +256,7 @@ class Cache:
         """
         if self._sync is not None:
             self._sync()
-        pin = StatsPin(self, len(self._oplog))
+        pin = StatsPin(self, len(self._oplog) // 3)
         if pin._index == 0:
             # Nothing pending: the snapshot is already known.
             pin._value = self._stats.snapshot()
@@ -285,19 +282,20 @@ class Cache:
             self._sync()
         shift = self._line_shift
         log = self._oplog
-        log.append((base >> shift, (base + size - 1) >> shift, write))
-        if len(log) >= _OPLOG_CAP:
+        log.fromlist([base >> shift, (base + size - 1) >> shift, write])
+        if len(log) >= 3 * _OPLOG_CAP:
             self._drain()
 
     def _drain(self) -> None:
         """Replay the deferred-access log in order, resolving pins."""
-        if self._tags is not None:
+        if self._dictsets is None:
             self._replay_log()
             return
         log = self._oplog
         pins = self._pins
         p = 0
-        for pos, (first, last, write) in enumerate(log):
+        slots = iter(log)
+        for pos, (first, last, write) in enumerate(zip(slots, slots, slots)):
             while p < len(pins) and pins[p]._index <= pos:
                 pins[p]._value = self._stats.snapshot()
                 p += 1
@@ -307,13 +305,28 @@ class Cache:
         del pins[:]
         del log[:]
 
+    def _arrays(self) -> None:
+        """Build the replay arrays (importing numpy) unless they exist."""
+        if self._tags is not None:
+            return
+        import numpy as np
+        ways, num_sets = self._ways, self.config.num_sets
+        self._tags = np.repeat(
+            np.arange(-ways, 0, dtype=np.int64)[:, None], num_sets, 1)
+        self._dirty = np.zeros((ways, num_sets), dtype=bool)
+        self._span = 1 << (ways * num_sets - 1).bit_length()
+        self._keys = np.arange(ways * num_sets,
+                               dtype=np.int64).reshape(ways, num_sets)
+        self._clock = 0     # replay steps so far; the age of a touch
+
     def _replay_log(self) -> None:
         """numpy drain: expand the log to lines and replay it in slices.
 
         Counters are kept per log entry, so each pin resolves to the
         base counters plus a prefix sum over the entries before it.
         """
-        np = _np
+        self._arrays()
+        import numpy as np
         log = np.array(self._oplog, dtype=np.int64).reshape(-1, 3)
         first = log[:, 0]
         lines = log[:, 1] - first + 1
@@ -363,7 +376,7 @@ class Cache:
         the repeats are hits on the MRU way, which change nothing but
         the dirty bit.
         """
-        np = _np
+        import numpy as np
         num_sets = self.config.num_sets
         sets = lines & self._set_mask
         # uint16 keys take numpy's radix sort.
@@ -445,9 +458,10 @@ class Cache:
         tag = line >> self._index_bits
         index = line & self._set_mask
         stats = self._stats
-        if self._tags is not None:
+        if self._dictsets is None:
+            self._arrays()
             column = self._tags[:, index]
-            found = _np.flatnonzero(column == tag)
+            found = (column == tag).nonzero()[0]
             self._clock += 1
             if found.size:
                 way = int(found[0])
@@ -534,27 +548,28 @@ class Cache:
         line = address >> self._line_shift
         index = line & self._set_mask
         tag = line >> self._index_bits
-        if self._tags is not None:
-            return bool((self._tags[:, index] == tag).any())
-        return tag in self._dictsets[index]
+        if self._dictsets is not None:
+            return tag in self._dictsets[index]
+        return self._tags is not None and bool(
+            (self._tags[:, index] == tag).any())
 
     @property
     def resident_lines(self) -> int:
         """Lines currently cached across all sets (sentinels excluded)."""
         self._settle()
-        if self._tags is not None:
-            return int((self._tags >= 0).sum())
-        return sum(sum(1 for t in d if t >= 0) for d in self._dictsets)
+        if self._dictsets is not None:
+            return sum(sum(1 for t in d if t >= 0) for d in self._dictsets)
+        return 0 if self._tags is None else int((self._tags >= 0).sum())
 
     def flush(self) -> int:
         """Invalidate everything; return the number of dirty lines written back."""
         self._settle()
-        if self._tags is not None:
-            dirty = int((self._dirty & (self._tags >= 0)).sum())
-            self._tags[:] = _np.arange(-self._ways, 0, dtype=_np.int64)[:, None]
-            self._dirty[:] = False
-            self._keys[:] = _np.arange(
-                self._keys.size, dtype=_np.int64).reshape(self._keys.shape)
+        if self._dictsets is None:
+            dirty = (0 if self._tags is None
+                     else int((self._dirty & (self._tags >= 0)).sum()))
+            # Back to the all-sentinel initial state: the next replay
+            # builds fresh arrays.
+            self._tags = self._dirty = self._keys = None
             self._stats.writebacks += dirty
             return dirty
         dirty = 0

@@ -25,24 +25,40 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.telemetry.metrics import Counter
+
 __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Engage/disengage load shedding; count what was refused."""
+    """Engage/disengage load shedding; count what was refused.
 
-    def __init__(self, protect_priority: int = 2) -> None:
+    Sheds count in place, per priority, into ``metrics``'
+    ``repro_admission_shed_total{runtime,priority}`` children when the
+    controller belongs to a runtime (the supervisor passes its
+    :class:`~repro.core.runtime.RuntimeMetrics`), else into private
+    counters.
+    """
+
+    def __init__(self, protect_priority: int = 2, metrics=None) -> None:
         # Calls on channels with priority < protect_priority are shed
         # while engaged; >= passes untouched.
         self.protect_priority = protect_priority
         self.engaged = False
         self.engagements = 0
-        self.shed_by_priority: Dict[int, int] = {}
+        self._metrics = metrics
+        self._shed: Dict[int, Counter] = {}
+
+    @property
+    def shed_by_priority(self) -> Dict[int, int]:
+        """Calls refused so far, by channel priority (a read-only view)."""
+        return {priority: counter.value
+                for priority, counter in self._shed.items()}
 
     @property
     def shed_total(self) -> int:
         """Calls refused across all priorities."""
-        return sum(self.shed_by_priority.values())
+        return sum(counter.value for counter in self._shed.values())
 
     def engage(self) -> None:
         """Start shedding (idempotent)."""
@@ -58,7 +74,13 @@ class AdmissionController:
     def admit(self, priority: int) -> bool:
         """Admission decision for one call on a channel of ``priority``."""
         if self.engaged and priority < self.protect_priority:
-            self.shed_by_priority[priority] = (
-                self.shed_by_priority.get(priority, 0) + 1)
+            counter = self._shed.get(priority)
+            if counter is None:
+                metrics = self._metrics
+                counter = self._shed[priority] = (
+                    Counter() if metrics is None else
+                    metrics.admission_shed.own(runtime=metrics.name,
+                                               priority=priority))
+            counter.inc()
             return False
         return True

@@ -95,7 +95,8 @@ class Supervisor:
         self.sim = runtime.sim
         self.config = config or SupervisorConfig()
         self.admission = AdmissionController(
-            protect_priority=self.config.protect_priority)
+            protect_priority=self.config.protect_priority,
+            metrics=runtime.metrics)
         self.decisions: List[SupervisorDecision] = []
         # Decision counts by action and drain outcomes: this runtime's
         # own children, so a namesake runtime's counts never mix in.

@@ -1,5 +1,6 @@
 """Tests for the Section 5 layout machinery: graph, ILP, solvers."""
 
+import importlib.util
 import itertools
 import os
 import pathlib
@@ -371,17 +372,65 @@ print("scipy" in sys.modules)
 """
 
 
-def test_default_layout_path_never_imports_scipy():
-    """Testbeds and the KV cache solve layouts with branch-and-bound only.
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter; return its stdout lines.
 
-    Runs in a fresh interpreter, because another test in this process
-    may already have imported SciPy for the oracle solver.
+    A fresh interpreter, because another test in this process may
+    already have imported SciPy or numpy.
     """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     completed = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+        [sys.executable, "-c", script], env=env,
         capture_output=True, text=True, timeout=120, check=True)
-    assert completed.stdout.strip().splitlines()[-1] == "False"
+    return completed.stdout.strip().splitlines()
+
+
+def test_default_layout_path_never_imports_scipy():
+    """Testbeds and the KV cache solve layouts with branch-and-bound only."""
+    assert _run_fresh(_NO_SCIPY_SCRIPT)[-1] == "False"
+
+
+# -- numpy is loaded only where an L2 replays ------------------------------------
+
+_LAZY_NUMPY_SCRIPT = """
+import sys
+from repro.rdma.kv import build_kv_world, deploy_cache
+from repro.tivopc import SimpleServer, Testbed, TestbedConfig, UserSpaceClient
+from repro.tivopc.population import PopulationConfig, run_population
+
+world = build_kv_world()
+keys = [f"key-{i}" for i in range(4)]
+
+def ops():
+    yield from deploy_cache(world)
+    for key in keys:
+        yield from world.proxy.Put(key, "v:" + key)
+    got = yield from world.client.get_batch(keys)
+    assert got == {key: "v:" + key for key in keys}, got
+
+world.sim.run_until_event(world.sim.spawn(ops()))
+population = run_population(range(4), PopulationConfig(clients=4, seconds=0.05))
+assert population.subscribers and population.subscribers[0].chunks_sent > 0
+assert world.machine.l2.stats.accesses == 0
+print("numpy" in sys.modules)
+
+testbed = Testbed(TestbedConfig(seed=1))
+testbed.start()
+UserSpaceClient(testbed).start()
+SimpleServer(testbed).start()
+testbed.run(0.3)
+assert testbed.server.machine.l2.stats.accesses > 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_imported_only_when_an_l2_replays():
+    """The KV cache, a chunk-fidelity population and an untouched L2
+    never import numpy; observing a streaming host's L2 replays its
+    op log on numpy whenever numpy is installed."""
+    kv_and_population, stream = _run_fresh(_LAZY_NUMPY_SCRIPT)[-2:]
+    assert kv_and_population == "False"
+    assert stream == str(importlib.util.find_spec("numpy") is not None)

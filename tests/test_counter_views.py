@@ -1,7 +1,7 @@
 """Stats views read the registry: no count lives beside it.
 
-A batcher's ``BatcherStats`` and a supervisor's decision and drain
-counts are read-only views over children their owner holds in
+A batcher's ``BatcherStats``, a supervisor's decision and drain counts
+and its admission controller's sheds are read-only views over children their owner holds in
 ``sim.metrics``, so the exported series and the value the code reads
 are one number, and two owners exported under the same labels never
 read each other's counts.
@@ -69,3 +69,20 @@ def test_namesake_supervisors_keep_their_own_counts():
                        "shed-on": 0, "shed-off": 0}
     assert sample(snapshot, "repro_supervisor_drains_total",
                   outcome="completed", runtime="host") == 0
+
+
+def test_admission_sheds_are_their_exported_counters():
+    sim = Simulator()
+    first, second = (HydraRuntime(Machine(sim)).start_supervisor(
+        SupervisorConfig(protect_priority=2)).admission for _ in range(2))
+    first.engage()
+    second.engage()
+    assert [first.admit(p) for p in (0, 1, 1, 2)] == [False] * 3 + [True]
+    assert not second.admit(0)
+    assert first.shed_by_priority == {0: 1, 1: 2}
+    assert second.shed_by_priority == {0: 1}
+    # The first controller to shed at a priority owns its series.
+    snapshot = sim.metrics.snapshot()
+    shed = {s["labels"]["priority"]: s["value"] for s in
+            snapshot["repro_admission_shed_total"]["samples"]}
+    assert shed == {"0": 1, "1": 2}
