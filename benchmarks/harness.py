@@ -161,8 +161,9 @@ def bench_fleet() -> Dict:
     dispatch+merge wall; ``speedup_basis_<n>w`` says which."""
     from repro.evaluation.fleet import (FleetConfig, _run_shard,
                                         lpt_makespan, run_fleet)
-    from repro.evaluation.parallel import default_workers, fork_context
-    from repro.evaluation.supervised import SupervisedPool, SupervisionPolicy
+    from repro.evaluation.supervised import (SupervisedPool,
+                                             SupervisionPolicy,
+                                             default_workers, fork_context)
 
     population = PopulationConfig(clients=FLEET_CLIENTS,
                                   seconds=FLEET_SECONDS, fleet_seed=0)

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.evaluation.parallel import default_workers
 from repro.evaluation.supervised import SupervisedPool, SupervisionPolicy
 from repro.sim.rng import RandomStreams
 from repro.telemetry.merge import merge_snapshots
@@ -71,11 +70,6 @@ class FleetConfig:
     shards: int = 4
     # None -> one worker per available CPU (affinity-aware).
     workers: Optional[int] = 1
-    # Shards handed to a worker per pickup; 0 -> auto (1, i.e. dynamic
-    # load balancing — shards are coarse enough that batching them would
-    # only re-create stragglers).  Supervised dispatch always picks up
-    # one shard at a time (retry/timeout granularity is the shard).
-    chunksize: int = 0
     # Fault handling for the dispatch layer: retries/backoff, per-shard
     # wall-clock timeout, straggler hedging.
     supervision: SupervisionPolicy = field(
@@ -88,8 +82,6 @@ class FleetConfig:
             raise ReproError(
                 f"more shards ({self.shards}) than clients "
                 f"({self.population.clients})")
-        if self.chunksize < 0:
-            raise ReproError(f"chunksize must be >= 0: {self.chunksize}")
 
 
 def config_fingerprint(config: FleetConfig) -> str:
@@ -493,9 +485,6 @@ def run_fleet(config: FleetConfig,
     (``degraded=True`` with exact missing-shard accounting) instead of
     failing it.
     """
-    workers = config.workers
-    if workers is None:
-        workers = default_workers()
     seeds = {shard_id: shard_seed(config.population.fleet_seed, shard_id)
              for shard_id in range(config.shards)}
     _assert_distinct_seeds(seeds)
@@ -508,9 +497,9 @@ def run_fleet(config: FleetConfig,
 
     todo = [shard_id for shard_id in range(config.shards)
             if shard_id not in by_id]
-    pool = SupervisedPool(
-        _run_shard, workers=max(1, min(workers, len(todo))),
-        policy=config.supervision, chaos=chaos, task_keys=todo)
+    pool = SupervisedPool(_run_shard, workers=config.workers,
+                          policy=config.supervision, chaos=chaos,
+                          task_keys=todo)
     for result in pool.run(
             [(shard_id, config) for shard_id in todo]).values():
         by_id[result.shard_id] = result
@@ -553,7 +542,7 @@ def run_fleet(config: FleetConfig,
     supervision["snapshot"] = pool.metrics.snapshot()
 
     report = FleetReport(
-        config=config, workers=workers, shards=shards, totals=totals,
+        config=config, workers=pool.workers, shards=shards, totals=totals,
         events=sum(s.events for s in shards), wall_s=wall_s,
         events_per_sec=sum(s.events for s in shards) / wall_s
         if wall_s > 0 else 0.0,

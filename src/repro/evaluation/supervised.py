@@ -31,10 +31,18 @@ deadline-bound offload), so the dispatcher here is built around it:
 in-process and never touches multiprocessing (pinned by
 ``tests/test_evaluation_supervised.py``); chaos injection there raises
 instead of exiting, so even the kill path is testable without a fork.
+``workers=None`` means one worker per available CPU
+(:func:`default_workers`), resolved here and nowhere else.
+
+This is the only module in ``repro`` that forks: the fleet's shards
+and the rate and chunk sweeps' points all dispatch through
+:class:`SupervisedPool`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -46,7 +54,41 @@ from repro.errors import ReproError
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["SupervisionPolicy", "SupervisionStats", "TaskFailure",
-           "SupervisedPool"]
+           "SupervisedPool", "default_workers", "fork_context"]
+
+
+def default_workers() -> int:
+    """Worker count for ``workers=None``: one per *available* CPU.
+
+    "Available" means the process's CPU affinity mask, not the machine's
+    CPU count — in a cgroup-pinned CI container ``os.cpu_count()``
+    reports the host's cores while the runner may hold a single one, and
+    oversubscribing fork workers there is strictly slower.  Platforms
+    without ``sched_getaffinity`` (macOS) fall back to the CPU count.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:           # pragma: no cover - non-Linux
+        cpus = os.cpu_count() or 1
+    return max(1, cpus)
+
+
+def fork_context():
+    """The ``fork`` multiprocessing context, or a clear error without it.
+
+    Workers rely on fork inheritance: they reuse the parent's imported
+    modules, and closures over rich configs never pickle.  Requesting
+    the context lazily inside the dispatch would crash with an opaque
+    ``ValueError`` on spawn-only platforms — fail up front instead,
+    naming the fix.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError as exc:
+        raise ReproError(
+            "this platform has no 'fork' start method (Windows, or a "
+            "spawn-only build); run with workers=1 instead"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -210,12 +252,16 @@ class SupervisedPool:
     :class:`repro.faults.fleet.FleetChaos` — and ``task_keys`` maps the
     dense internal task ids onto caller-facing keys (shard ids for the
     fleet), so chaos addressing survives a partial resume.
+    ``self.workers`` is the resolved worker count (``None`` becomes
+    :func:`default_workers`).
     """
 
-    def __init__(self, fn: Callable, workers: int,
+    def __init__(self, fn: Callable, workers: Optional[int],
                  policy: Optional[SupervisionPolicy] = None,
                  chaos=None,
                  task_keys: Optional[Sequence[Hashable]] = None) -> None:
+        if workers is None:
+            workers = default_workers()
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
         self.fn = fn
@@ -308,7 +354,6 @@ class SupervisedPool:
         return _Slot(process, parent_conn)
 
     def _run_supervised(self, items: Sequence) -> Dict[int, Any]:
-        from repro.evaluation.parallel import fork_context
         ctx = fork_context()
         n = len(items)
         policy = self.policy

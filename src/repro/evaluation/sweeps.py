@@ -13,6 +13,14 @@ advantage comes from and how it scales*:
 * :func:`run_chunk_size_sweep` — payload size sweep at fixed packet
   rate: the simple server's copy costs grow with chunk size; the
   offloaded server's host cost stays identically zero.
+
+Every point builds its own :class:`~repro.tivopc.testbed.Testbed` from
+an explicit seed, so points share no mutable state and a point depends
+only on ``(scenario, stream, seconds, seed)``.  The points go through
+:class:`~repro.evaluation.supervised.SupervisedPool`, the fleet's
+dispatcher, and come back in task order, so a sweep is bit-identical
+whatever the worker count, and a worker that dies mid-point costs a
+retry rather than the run.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro import units
+from repro.errors import ReproError
+from repro.evaluation.supervised import SupervisedPool
 from repro.media.mpeg import StreamConfig
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.metrics import SummaryStats
@@ -78,18 +88,32 @@ def _measure(scenario: str, stream: StreamConfig, seconds: float,
         packets=client.jitter.packet_count)
 
 
-def _run_sweep(tasks, scenarios, workers) -> Dict[str, List[SweepPoint]]:
-    """Dispatch ``tasks`` (sequentially or across workers) and regroup.
+def _run_task(task) -> SweepPoint:
+    """One point: the body each pool worker runs."""
+    scenario, stream, seconds, seed = task
+    return _measure(scenario, stream, seconds, seed)
 
-    The task list is built in the same order the old sequential loops
-    visited it and ``run_tasks`` preserves that order, so the grouped
-    results are identical whatever the worker count.
+
+def _run_sweep(tasks, scenarios, workers) -> Dict[str, List[SweepPoint]]:
+    """Measure ``tasks`` through the supervised pool and regroup.
+
+    The task list is built in the order the results are grouped, and
+    the results are read back by task id, so the grouped results are
+    identical whatever the worker count.  A sweep cannot render a
+    missing point: a point that exhausted its retries raises.
     """
-    from repro.evaluation.parallel import run_tasks
-    points = run_tasks(tasks, workers=workers)
+    labels = [f"{scenario} {units.ns_to_ms(stream.interval_ns):g} ms "
+              f"{stream.chunk_bytes} B"
+              for scenario, stream, _seconds, _seed in tasks]
+    pool = SupervisedPool(_run_task, workers=workers, task_keys=labels)
+    points = pool.run(tasks)
+    if pool.failures:
+        raise ReproError("sweep lost point(s): " + "; ".join(
+            pool.failures[task_id].summary()
+            for task_id in sorted(pool.failures)))
     results: Dict[str, List[SweepPoint]] = {s: [] for s in scenarios}
-    for (scenario, _stream, _seconds, _seed), point in zip(tasks, points):
-        results[scenario].append(point)
+    for task_id, (scenario, _stream, _seconds, _seed) in enumerate(tasks):
+        results[scenario].append(points[task_id])
     return results
 
 
@@ -101,7 +125,7 @@ def run_rate_sweep(intervals_ms=(10.0, 5.0, 2.5, 1.25),
     """Jitter/CPU vs stream rate, per scenario.
 
     ``workers`` > 1 (or ``None`` for one per CPU) fans the points out
-    over a process pool with bit-identical results.
+    over supervised worker processes with bit-identical results.
     """
     tasks = [
         (scenario, StreamConfig(interval_ns=units.ms_to_ns(interval)),

@@ -30,6 +30,7 @@ from repro.core.watchdog import WatchdogConfig
 from repro.faults.plan import FaultPlan
 from repro.resilience import SupervisorConfig
 from repro.telemetry.adapters import check_channel_conservation
+from repro.telemetry.metrics import Law
 from repro.tivopc.client import OffloadedClient
 from repro.tivopc.components import StreamerOffcode
 from repro.tivopc.server import OffloadedServer
@@ -46,6 +47,13 @@ _PLAN_SALT = 0x5EEDFA17
 # The Figure-8 client components every healthy run must keep deployed.
 _CLIENT_BINDNAMES = ("tivopc.NetStreamer", "tivopc.DiskStreamer",
                      "tivopc.Decoder", "tivopc.Display", "tivopc.File")
+
+# Exactly-once across a live migration: the client handled every chunk
+# the server sent, once.
+EXACTLY_ONCE_LAW = Law(
+    total="sent", parts=("handled",),
+    leak="stream not exactly-once across migration: "
+         "server sent {sent}, client handled {handled}")
 
 
 @dataclass(frozen=True)
@@ -358,12 +366,9 @@ def check_invariants(run: ChaosRun) -> List[str]:
             if not record.drained:
                 violations.append(
                     "migration cut over with unacked messages in flight")
-        sent = run.server.packets_sent
-        handled = run.client.chunks_received
-        if handled != sent:
-            violations.append(
-                "stream not exactly-once across migration: "
-                f"server sent {sent}, client handled {handled}")
+        violations.extend(EXACTLY_ONCE_LAW.check(
+            {"sent": run.server.packets_sent,
+             "handled": run.client.chunks_received}))
 
     # 8. Supervisor policy outcomes demanded by the profile.
     supervisor = testbed.client_runtime.supervisor

@@ -34,9 +34,17 @@ from repro.hw.spin import DROP, SPIN_FEATURE, TO_HOST, SpinHandlers
 from repro.net.packet import Address, Packet
 from repro.net.switch import Switch
 from repro.sim.engine import Event, Simulator
+from repro.telemetry.metrics import Law
 
 __all__ = ["ITELEMETRY", "FlowTelemetryOffcode", "FilterWorld",
            "build_filter_world", "run_filter_scenario"]
+
+# Every packet the NIC received ran through the handlers or was punted
+# to the host path over the cycle budget.
+FILTER_LAW = Law(
+    total="rx_packets", parts=("spin_handled", "budget_overruns"),
+    leak="sPIN filter leaks packets: rx {rx_packets} != handled "
+         "{spin_handled} + over budget {budget_overruns}")
 
 ITELEMETRY = InterfaceSpec.from_methods(
     "IFlowTelemetry",
@@ -218,7 +226,5 @@ def run_filter_scenario(packets: int = 400, flows: int = 8,
 
     sim.run_until_event(sim.spawn(application()))
     report = world.report
-    report["accounted"] = (
-        report["spin_handled"] + report["budget_overruns"]
-        == report["rx_packets"])
+    report["accounted"] = not FILTER_LAW.check(report)
     return report

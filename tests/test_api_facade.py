@@ -1,7 +1,10 @@
 """The repro.api facade, DeploymentSpec and the ChannelConfig builder."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -10,6 +13,7 @@ import repro
 import repro.api as api
 from repro.core.channel import (
     Buffering,
+    Channel,
     ChannelConfig,
     ChannelKind,
     Reliability,
@@ -23,6 +27,7 @@ from repro.hw import DeviceClass, Machine
 from repro.sim import Simulator
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+PACKAGE = pathlib.Path(repro.__file__).parent
 
 
 # -- the facade ---------------------------------------------------------------------
@@ -44,7 +49,22 @@ def test_package_root_reexports_the_facade_lazily():
 
 def test_package_root_still_exposes_subpackages():
     assert repro.units.SECOND == 1_000_000_000
-    assert repro.core.Channel is api.Channel
+    assert repro.core.Channel is Channel
+
+
+def test_every_subpackage_resolves_on_first_access():
+    # In a fresh interpreter nothing has imported the subpackage yet, so
+    # the attribute lookup goes through the package root's lazy hook.
+    names = sorted(path.stem for path in PACKAGE.iterdir()
+                   if (path / "__init__.py").exists()
+                   or (path.suffix == ".py" and path.stem != "__init__"))
+    assert {"api", "core", "rdma", "resilience", "units"} <= set(names)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for name in names:
+        probe = subprocess.run(
+            [sys.executable, "-c", f"import repro; repro.{name}"],
+            env=env, capture_output=True, text=True)
+        assert probe.returncode == 0, (name, probe.stderr)
 
 
 def test_package_root_rejects_unknown_names():

@@ -8,19 +8,23 @@ simulator's registry, the store their stats read from) and checks that
 a violation is reported exactly when a law is broken and that the
 exported imbalance gauge equals the law's imbalance.  The fleet's chunk
 law gets the same treatment over random per-client books run through
-the fleet runner itself.
+the fleet runner itself.  The sPIN filter's packet law and the chaos
+soak's exactly-once law get doctored books off by one either way.
 """
 
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel import ChannelConfig
 from repro.core.runtime import HydraRuntime
 from repro.evaluation import fleet
+from repro.faults.chaos import EXACTLY_ONCE_LAW
 from repro.hw import Machine
 from repro.hw.nic import NicSpec
+from repro.rdma.filter import FILTER_LAW
 from repro.rdma.provider import RDMA_FEATURE
 from repro.sim import Simulator
 from repro.telemetry.adapters import (check_channel_conservation,
@@ -155,3 +159,22 @@ def test_fleet_law_reports_exactly_the_broken_books(drawn):
                         f"delivered {delivered} + lost {lost}")
     assert report.violations == expected
     assert report.ok == (not expected)
+
+
+@pytest.mark.parametrize("off_by", (1, -1))
+def test_filter_law_flags_a_doctored_book(off_by):
+    books = {"rx_packets": 10, "spin_handled": 7, "budget_overruns": 3}
+    assert FILTER_LAW.check(books) == []
+    books["rx_packets"] += off_by
+    assert FILTER_LAW.check(books) == [
+        f"sPIN filter leaks packets: rx {10 + off_by} != handled 7 "
+        f"+ over budget 3"]
+
+
+@pytest.mark.parametrize("off_by", (1, -1))
+def test_exactly_once_law_keeps_the_chaos_text(off_by):
+    assert EXACTLY_ONCE_LAW.check({"sent": 40, "handled": 40}) == []
+    handled = 40 + off_by
+    assert EXACTLY_ONCE_LAW.check({"sent": 40, "handled": handled}) == [
+        "stream not exactly-once across migration: "
+        f"server sent 40, client handled {handled}"]

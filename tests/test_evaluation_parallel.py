@@ -1,22 +1,22 @@
-"""The parallel sweep runner must be bit-identical to the sequential one.
+"""Parallel sweeps must be bit-identical to sequential ones, and survive.
 
 Each sweep point builds its own seeded Testbed, so results depend only on
-the task tuple; ``Pool.map`` preserves order.  These tests pin that
-contract: a multi-worker run and a sequential run of the same sweep must
-agree field for field, not just approximately.
+the task tuple, and the supervised pool hands them back in task order.
+These tests pin that contract: a multi-worker run and a sequential run of
+the same sweep must agree field for field, not just approximately, even
+when a worker dies mid-point.
 """
 
 import os
+import signal
 from unittest import mock
 
 import pytest
 
-from repro import units
 from repro.errors import ReproError
-from repro.evaluation.parallel import (default_workers, fork_context,
-                                       run_tasks)
+from repro.evaluation import sweeps
+from repro.evaluation.supervised import default_workers, fork_context
 from repro.evaluation.sweeps import run_chunk_size_sweep, run_rate_sweep
-from repro.media.mpeg import StreamConfig
 
 # Short runs keep the suite quick while still exercising the full
 # testbed (kernels, NIC rings, measurement client) per point.
@@ -32,12 +32,8 @@ def _points_equal(a, b):
             and a.packets == b.packets)
 
 
-def test_rate_sweep_parallel_matches_sequential():
-    kwargs = dict(intervals_ms=(10.0, 5.0), scenarios=("simple", "offloaded"),
-                  seconds=_SECONDS, seed=3)
-    sequential = run_rate_sweep(workers=1, **kwargs)
-    parallel = run_rate_sweep(workers=2, **kwargs)
-    assert set(sequential) == set(parallel)
+def _assert_sweeps_equal(sequential, parallel):
+    assert list(sequential) == list(parallel)
     for scenario in sequential:
         assert len(sequential[scenario]) == len(parallel[scenario])
         for seq_point, par_point in zip(sequential[scenario],
@@ -45,31 +41,67 @@ def test_rate_sweep_parallel_matches_sequential():
             assert _points_equal(seq_point, par_point)
 
 
+def test_rate_sweep_parallel_matches_sequential():
+    kwargs = dict(intervals_ms=(10.0, 5.0), scenarios=("simple", "offloaded"),
+                  seconds=_SECONDS, seed=3)
+    _assert_sweeps_equal(run_rate_sweep(workers=1, **kwargs),
+                         run_rate_sweep(workers=2, **kwargs))
+
+
 def test_chunk_sweep_parallel_matches_sequential():
     kwargs = dict(chunk_sizes=(512, 4096), scenarios=("offloaded",),
                   seconds=_SECONDS, seed=1)
-    sequential = run_chunk_size_sweep(workers=1, **kwargs)
-    parallel = run_chunk_size_sweep(workers=3, **kwargs)
-    for seq_point, par_point in zip(sequential["offloaded"],
-                                    parallel["offloaded"]):
-        assert _points_equal(seq_point, par_point)
+    _assert_sweeps_equal(run_chunk_size_sweep(workers=1, **kwargs),
+                         run_chunk_size_sweep(workers=3, **kwargs))
 
 
-def test_run_tasks_preserves_order_across_workers():
-    stream_a = StreamConfig(interval_ns=units.ms_to_ns(10.0))
-    stream_b = StreamConfig(interval_ns=units.ms_to_ns(5.0))
-    tasks = [("offloaded", stream_a, _SECONDS, 0),
-             ("simple", stream_a, _SECONDS, 0),
-             ("offloaded", stream_b, _SECONDS, 0)]
-    points = run_tasks(tasks, workers=2)
-    assert [p.scenario for p in points] == ["offloaded", "simple",
-                                            "offloaded"]
-    assert [p.interval_ms for p in points] == [10.0, 10.0, 5.0]
+def test_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
+    # The first point picked up by a forked worker kills that worker
+    # outright, as an OOM kill would: the pool must notice, replace the
+    # worker and rerun the point.  A bare multiprocessing.Pool waits
+    # forever here, so an alarm turns a regression into a failure.
+    marker = tmp_path / "killed"
+    parent = os.getpid()
+    measure = sweeps._measure
+
+    def dies_once_in_a_child(*args):
+        if os.getpid() != parent:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(117)
+        return measure(*args)
+
+    def hung(signum, frame):
+        raise AssertionError("sweep hung after a worker died")
+
+    monkeypatch.setattr(sweeps, "_measure", dies_once_in_a_child)
+    kwargs = dict(intervals_ms=(10.0, 5.0), scenarios=("offloaded",),
+                  seconds=1.0, seed=4)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        parallel = run_rate_sweep(workers=2, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert marker.exists()
+    _assert_sweeps_equal(run_rate_sweep(workers=1, **kwargs), parallel)
 
 
-def test_run_tasks_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        run_tasks([], workers=0)
+def test_sweep_raises_naming_a_lost_point(monkeypatch):
+    def broken(scenario, stream, seconds, seed):
+        if stream.interval_ns == 5_000_000:
+            raise RuntimeError("testbed on fire")
+        return measure(scenario, stream, seconds, seed)
+
+    measure = sweeps._measure
+    monkeypatch.setattr(sweeps, "_measure", broken)
+    with pytest.raises(ReproError, match="offloaded 5 ms 1024 B.*on fire"):
+        run_rate_sweep(intervals_ms=(10.0, 5.0), scenarios=("offloaded",),
+                       seconds=0.1, workers=1)
 
 
 def test_default_workers_positive():
@@ -87,7 +119,7 @@ def test_default_workers_respects_affinity():
 
 
 def test_default_workers_falls_back_without_affinity():
-    with mock.patch("repro.evaluation.parallel.os") as fake_os:
+    with mock.patch("repro.evaluation.supervised.os") as fake_os:
         del fake_os.sched_getaffinity      # platform without the call
         fake_os.cpu_count.return_value = 6
         assert default_workers() == 6
@@ -108,6 +140,7 @@ def test_single_worker_paths_never_touch_multiprocessing():
     # that forbid forking.
     with mock.patch("multiprocessing.get_context",
                     side_effect=AssertionError("in-process path forked")):
-        stream = StreamConfig(interval_ns=units.ms_to_ns(10.0))
-        points = run_tasks([("offloaded", stream, _SECONDS, 0)], workers=1)
-        assert [p.scenario for p in points] == ["offloaded"]
+        results = run_rate_sweep(intervals_ms=(10.0,),
+                                 scenarios=("offloaded",),
+                                 seconds=_SECONDS, workers=1)
+        assert [p.scenario for p in results["offloaded"]] == ["offloaded"]

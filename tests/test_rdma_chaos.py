@@ -103,7 +103,7 @@ def test_conservation_check_flags_cooked_books():
 def test_filter_scenario_accounts_every_packet():
     report = run_filter_scenario(packets=200)
     assert report["placement"] == "nic0"       # layout honored `spin`
-    assert report["accounted"]                 # handled + punted == rx
+    assert report["accounted"] is True         # handled + punted == rx
     assert report["spin_dropped"] > 0          # denylist fired in-network
     assert report["spin_to_host"] > 0          # sampling escalated
     assert report["budget_overruns"] > 0       # jumbos punted by budget
