@@ -97,7 +97,7 @@ def run_dispatch(label, batched, messages, interval_ns=0):
         for seq in range(messages):
             yield from source.write(("chunk", seq), CHUNK_BYTES)
             if interval_ns:
-                yield sim.timeout(interval_ns)
+                yield sim.clock.timeout(interval_ns)
         if channel.batcher is not None:
             yield from channel.batcher.flush_all()
 

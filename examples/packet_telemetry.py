@@ -107,8 +107,8 @@ def main():
                 dst=Address("appliance", port),
                 size_bytes=48_000 if jumbo else 1024,
                 sent_at_ns=sim.now))
-            yield sim.timeout(10_000)        # ~line pacing
-        yield sim.timeout(2_000_000)         # drain
+            yield sim.clock.timeout(10_000)        # ~line pacing
+        yield sim.clock.timeout(2_000_000)         # drain
 
         snapshot = yield from result.proxy.Snapshot()
         print(f"flows observed: {len(snapshot)}")

@@ -55,7 +55,7 @@ def run(vmm_cls):
         for i in range(PACKETS):
             port = 1000 + (i % 2) * 1000 + (i % 5)
             yield from sock.sendto(Address("vmm-host", port), SIZE)
-            yield sim.timeout(100_000)
+            yield sim.clock.timeout(100_000)
 
     sim.spawn(blast())
     sim.run(until=units.s_to_ns(1))

@@ -14,7 +14,6 @@ pending event on the caller's simulator, mirroring the paper's
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Tuple
@@ -68,8 +67,6 @@ class CallPolicy:
                                             self.jitter_frac)
         return max(1, round(delay))
 
-_call_ids = itertools.count(1)
-
 
 class ReturnDescriptor:
     """Where the return value of a two-way Call should be delivered."""
@@ -100,12 +97,11 @@ class Call:
     def __init__(self, interface_guid: Guid, method: str,
                  encoded_args: bytes,
                  return_descriptor: Optional[ReturnDescriptor] = None) -> None:
-        self.call_id = next(_call_ids)
         self.interface_guid = interface_guid
         self.method = method
         self.encoded_args = encoded_args
         self.return_descriptor = return_descriptor
-        # Serialized size: header (GUID + method + id) + arguments.
+        # Serialized size: header (GUID + method + wire call id) + arguments.
         # Cached at construction — the arguments are already encoded and
         # immutable, and channels/batchers consult the size repeatedly.
         self.size_bytes = 24 + len(method) + len(encoded_args)
@@ -126,8 +122,7 @@ class Call:
         Return descriptors are one-shot, so a retried two-way call needs
         a new Call object — but its arguments are already marshaled and
         must not be encoded again (the caller paid that cost once).  The
-        reissued call gets a new id and, for two-way calls, a fresh
-        descriptor.
+        reissued call gets, for two-way calls, a fresh descriptor.
         """
         descriptor = None if self.one_way else ReturnDescriptor(sim)
         call = Call(interface_guid=self.interface_guid, method=self.method,
@@ -144,7 +139,7 @@ class Call:
         return tuple(decoded)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Call #{self.call_id} {self.interface_guid}.{self.method} "
+        return (f"<Call {self.interface_guid}.{self.method} "
                 f"{self.size_bytes}B>")
 
 

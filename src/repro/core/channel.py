@@ -28,6 +28,7 @@ import enum
 import random
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import (AdmissionShedError, ChannelClosedError,
@@ -519,7 +520,7 @@ class Endpoint:
 # Help of the counter behind each ChannelStats count, in field order;
 # exported as ``repro_channel_<field>_total``.
 _METRIC_LABELS = ("runtime", "channel", "label")
-_HELP = {
+_HELP = MappingProxyType({
     "sent": "Messages sent (wire attempts)",
     "delivered": "Messages delivered to receivers",
     "dropped": "Messages lost, mangled or duplicate-suppressed in flight",
@@ -528,7 +529,7 @@ _HELP = {
     "batches": "Vectored batches sent",
     "retransmits": "Reliable-protocol retransmissions",
     "dup_dropped": "Duplicate frames suppressed by the receiver",
-}
+})
 
 
 class Channel:
@@ -926,7 +927,7 @@ class Channel:
                            f"#{self.channel_id} seq={seq} dropped in "
                            "flight; will retransmit",
                            channel=self.channel_id, label=self.config.label)
-                yield sim.timeout(self._reliable_backoff_ns(attempt))
+                yield sim.clock.timeout(self._reliable_backoff_ns(attempt))
                 continue
             if verdict == "corrupt":
                 # The receiver's checksum rejects the mangled frame: it
@@ -937,7 +938,7 @@ class Channel:
                            f"#{self.channel_id} seq={seq} corrupted in "
                            "flight; checksum reject, will retransmit",
                            channel=self.channel_id, label=self.config.label)
-                yield sim.timeout(self._reliable_backoff_ns(attempt))
+                yield sim.clock.timeout(self._reliable_backoff_ns(attempt))
                 continue
             # The frame arrived intact.
             if seq <= rel.contiguous or seq in rel.seen:
@@ -961,7 +962,7 @@ class Channel:
                              if s <= rel.contiguous or s == seq]:
                     del rel.unacked[done]
                 return
-            yield sim.timeout(self._reliable_backoff_ns(attempt))
+            yield sim.clock.timeout(self._reliable_backoff_ns(attempt))
 
     def _reverse_ack(self, source: Endpoint, destinations: List[Endpoint]
                      ) -> Generator[Event, None, bool]:

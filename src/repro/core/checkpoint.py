@@ -177,7 +177,7 @@ class CheckpointService:
     def _tick(self) -> Generator[Event, None, None]:
         sim = self.runtime.sim
         while True:
-            yield sim.timeout(self.config.period_ns)
+            yield sim.clock.timeout(self.config.period_ns)
             for offcode in self.runtime.deployed_offcodes():
                 if checkpointable(offcode):
                     # Disposable per-offcode process: a device dying

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (ChannelError, DeviceFailedError,
@@ -72,7 +73,7 @@ class BatcherStats:
 
 # Help of the counter behind each BatcherStats field, exported as
 # ``repro_batcher_<field>_total`` under the channel's labels.
-_HELP = {
+_HELP = MappingProxyType({
     "coalesced": "Payloads that rode a vectored batch",
     "bypassed": "Payloads the adaptive estimator sent down the classic "
                 "per-message path",
@@ -81,7 +82,7 @@ _HELP = {
     "flushed_on_deadline": "Batches flushed by their deadline",
     "expired": "Batch entries dropped because their call deadline passed "
                "while the batch was retrying",
-}
+})
 
 
 class ChannelBatcher:
@@ -190,7 +191,7 @@ class ChannelBatcher:
 
     def _deadline_watch(self, key: int, generation: int
                         ) -> Generator[Event, None, None]:
-        yield self.sim.timeout(self.config.deadline_ns)
+        yield self.sim.clock.timeout(self.config.deadline_ns)
         if self._generation.get(key, 0) != generation:
             return  # an inline flush already moved this batch
         if self._pending.get(key):
@@ -240,7 +241,8 @@ class ChannelBatcher:
                             f"batch flush on channel "
                             f"#{self.channel.channel_id} failed after "
                             f"{attempt} attempt(s): {exc}") from exc
-                    yield self.sim.timeout(self.policy.backoff_ns(attempt))
+                    yield self.sim.clock.timeout(
+                        self.policy.backoff_ns(attempt))
                     attempt += 1
         finally:
             if span is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from repro.errors import LayoutError
 
@@ -34,7 +35,7 @@ class ConstraintType(Enum):
         return self is not ConstraintType.GANG_ASYM
 
 
-_ALIASES = {
+_ALIASES = MappingProxyType({
     "link": ConstraintType.LINK,
     "pull": ConstraintType.PULL,
     "gang": ConstraintType.GANG,
@@ -42,7 +43,7 @@ _ALIASES = {
     "gang-asym": ConstraintType.GANG_ASYM,
     "asymmetricgang": ConstraintType.GANG_ASYM,
     "asymmetric-gang": ConstraintType.GANG_ASYM,
-}
+})
 
 
 def parse_constraint_type(text: str) -> ConstraintType:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ODFError
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 # Human names appearing in ODFs mapped to canonical device classes.
-_CLASS_NAMES = {
+_CLASS_NAMES = MappingProxyType({
     "network device": DeviceClass.NETWORK,
     "network": DeviceClass.NETWORK,
     "storage device": DeviceClass.STORAGE,
@@ -51,7 +52,7 @@ _CLASS_NAMES = {
     "graphics": DeviceClass.DISPLAY,
     "host": DeviceClass.HOST,
     "host cpu": DeviceClass.HOST,
-}
+})
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,7 @@ class DmaChannelProvider(ChannelProvider):
         ring: DescriptorRing = channel.in_ring
         while not ring.post(Descriptor(address=self._pin_cursor, length=size)):
             # Reliable semantics: wait for the device to drain a slot.
-            yield host.sim.timeout(2_000)
+            yield host.sim.clock.timeout(2_000)
         yield from (self.device.dma_from_host(size) if sizes is None
                     else self.device.dma_from_host_vectored(sizes))
         ring.consume()
@@ -303,7 +303,7 @@ class DmaChannelProvider(ChannelProvider):
                                              context="channel")
         ring: DescriptorRing = channel.out_ring
         while not ring.post(Descriptor(address=0, length=size)):
-            yield self.device.sim.timeout(2_000)
+            yield self.device.sim.clock.timeout(2_000)
         yield from (self.device.dma_to_host(size) if sizes is None
                     else self.device.dma_to_host_vectored(sizes))
         ring.consume()

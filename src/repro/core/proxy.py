@@ -188,7 +188,7 @@ class Proxy:
             proc = sim.spawn(
                 attempt_body(),
                 name=f"proxy-{self.interface.name}.{method_name}-a{attempt}")
-            yield sim.any_of([proc, sim.timeout(policy.deadline_ns)])
+            yield sim.any_of([proc, sim.clock.timeout(policy.deadline_ns)])
             if "result" in outcome:
                 status, value = outcome["result"]
                 if status == "ok":
@@ -209,7 +209,7 @@ class Proxy:
                        interface=self.interface.name, method=method_name,
                        attempt=attempt, deadline_ns=policy.deadline_ns)
             if attempt < policy.max_attempts:
-                yield sim.timeout(policy.backoff_ns(attempt))
+                yield sim.clock.timeout(policy.backoff_ns(attempt))
         raise RetryBudgetExceededError(
             f"{self.interface.name}.{method_name}: all "
             f"{policy.max_attempts} attempt(s) missed their "

@@ -1027,7 +1027,7 @@ class HydraRuntime:
             self._run_prepare(record, victim),
             name=f"migrate-prep-{victim.bindname}")
         yield self.sim.any_of(
-            (parked, self.sim.timeout(prepare_timeout_ns)))
+            (parked, self.sim.clock.timeout(prepare_timeout_ns)))
 
         deadline = self.sim.now + drain_timeout_ns
         while self.sim.now < deadline:
@@ -1036,7 +1036,7 @@ class HydraRuntime:
             if not busy:
                 record.drained = True
                 return
-            yield self.sim.timeout(poll_ns)
+            yield self.sim.clock.timeout(poll_ns)
         record.drained = not any(
             not ch.closed and ch.unacked_messages()
             for ch in getattr(victim, "channels", ()))

@@ -208,7 +208,7 @@ class DeviceWatchdog:
                  ) -> Generator[Event, None, None]:
         cfg = self.config
         while True:
-            yield self.sim.timeout(cfg.period_ns)
+            yield self.sim.clock.timeout(cfg.period_ns)
             if self.stopped:
                 return
             watch.seq += 1
@@ -219,7 +219,7 @@ class DeviceWatchdog:
             self.sim.spawn(self._ping(watch, seq, outcome),
                            name=f"wd-ping-{watch.name}-{seq}")
             yield self.sim.any_of(
-                [round_waiter, self.sim.timeout(cfg.deadline_ns)])
+                [round_waiter, self.sim.clock.timeout(cfg.deadline_ns)])
             if round_waiter.triggered:
                 watch.beats.inc()
                 if watch.missed.value:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -48,83 +50,52 @@ from repro.evaluation.reporting import (
 
 __all__ = ["main", "ARTIFACTS"]
 
-_server_cache: Dict = {}
-_client_cache: Dict = {}
+
+class _Run:
+    """One :func:`main` call: its options, and the server and client
+    scenario runs that several artifacts share, memoized for this call
+    only."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.seconds: float = args.seconds
+        self.seed: int = args.seed
+        self.workers = None if args.workers == 0 else args.workers
+
+    @cached_property
+    def server_results(self):
+        return run_all_server_scenarios(seconds=self.seconds, seed=self.seed)
+
+    @cached_property
+    def client_results(self):
+        return run_all_client_scenarios(seconds=self.seconds, seed=self.seed)
 
 
-def _server_results(seconds: float, seed: int):
-    key = (seconds, seed)
-    if key not in _server_cache:
-        _server_cache[key] = run_all_server_scenarios(seconds=seconds,
-                                                      seed=seed)
-    return _server_cache[key]
+def _artifact_table4(run: _Run) -> str:
+    return (render_table4(run.client_results) + "\n\n"
+            + render_client_l2(run.client_results))
 
 
-def _client_results(seconds: float, seed: int):
-    key = (seconds, seed)
-    if key not in _client_cache:
-        _client_cache[key] = run_all_client_scenarios(seconds=seconds,
-                                                      seed=seed)
-    return _client_cache[key]
-
-
-def _artifact_fig1(seconds: float, seed: int,
-                   workers: int = 1) -> str:
-    return render_fig1(run_fig1())
-
-
-def _artifact_fig9(seconds: float, seed: int,
-                workers: int = 1) -> str:
-    return render_fig9(_server_results(seconds, seed))
-
-
-def _artifact_fig10(seconds: float, seed: int,
-                 workers: int = 1) -> str:
-    return render_fig10(_server_results(seconds, seed))
-
-
-def _artifact_table2(seconds: float, seed: int,
-                  workers: int = 1) -> str:
-    return render_table2(_server_results(seconds, seed))
-
-
-def _artifact_table3(seconds: float, seed: int,
-                  workers: int = 1) -> str:
-    return render_table3(_server_results(seconds, seed))
-
-
-def _artifact_table4(seconds: float, seed: int,
-                  workers: int = 1) -> str:
-    results = _client_results(seconds, seed)
-    return render_table4(results) + "\n\n" + render_client_l2(results)
-
-
-def _artifact_ilp(seconds: float, seed: int,
-                workers: int = 1) -> str:
-    return render_ilp_ablation(run_ilp_vs_greedy(seed=seed or 7))
-
-
-def _artifact_power(seconds: float, seed: int,
-                 workers: int = 1) -> str:
+def _artifact_power(run: _Run) -> str:
     return render_power_ablation(
-        run_power_comparison(seconds=min(seconds, 20.0), seed=seed))
+        run_power_comparison(seconds=min(run.seconds, 20.0), seed=run.seed))
 
 
-def _artifact_sweeps(seconds: float, seed: int,
-                     workers: int = 1) -> str:
+def _artifact_sweeps(run: _Run) -> str:
     from repro.evaluation.sweeps import (
         render_sweep,
         run_chunk_size_sweep,
         run_rate_sweep,
     )
-    per_point = min(seconds, 10.0)
+    per_point = min(run.seconds, 10.0)
     rate = render_sweep(
         "Extension: jitter/CPU vs stream rate",
-        run_rate_sweep(seconds=per_point, seed=seed, workers=workers),
+        run_rate_sweep(seconds=per_point, seed=run.seed, workers=run.workers),
         "interval ms")
     chunk = render_sweep(
         "Extension: jitter/CPU vs chunk size at 5 ms",
-        run_chunk_size_sweep(seconds=per_point, seed=seed, workers=workers),
+        run_chunk_size_sweep(seconds=per_point, seed=run.seed,
+                             workers=run.workers),
         "chunk bytes")
     return rate + "\n\n" + chunk
 
@@ -169,36 +140,31 @@ def _parse_chaos_picks(kills: Sequence[str], stalls: Sequence[str],
         slows=tuple(pick(spec, True) for spec in slows))
 
 
-def _artifact_fleet(seconds: float, seed: int, workers: int = 1,
-                    clients: int = 64, shards: int = 4,
-                    fidelity: str = "chunk", loss_rate: float = 0.0,
-                    artifacts_dir: Optional[str] = None,
-                    resume_dir: Optional[str] = None,
-                    max_retries: int = 2,
-                    shard_timeout: Optional[float] = None,
-                    hedge: bool = True,
-                    allow_degraded: bool = False,
-                    chaos=None) -> str:
+def _artifact_fleet(run: _Run) -> str:
     from repro.evaluation.fleet import FleetConfig, run_fleet
     from repro.evaluation.supervised import SupervisionPolicy
     from repro.evaluation.reporting import render_fleet_report
     from repro.tivopc.population import PopulationConfig
 
+    args = run.args
     report = run_fleet(FleetConfig(
         population=PopulationConfig(
-            clients=clients, seconds=min(seconds, 5.0), fidelity=fidelity,
-            loss_rate=loss_rate, fleet_seed=seed),
-        shards=shards, workers=workers,
-        supervision=SupervisionPolicy(max_retries=max_retries,
-                                      shard_timeout_s=shard_timeout,
-                                      hedge=hedge)),
-        artifacts_dir=artifacts_dir, resume_dir=resume_dir, chaos=chaos)
+            clients=args.clients, seconds=min(run.seconds, 5.0),
+            fidelity=args.fidelity, loss_rate=args.loss_rate,
+            fleet_seed=run.seed),
+        shards=args.shards, workers=run.workers,
+        supervision=SupervisionPolicy(max_retries=args.max_retries,
+                                      shard_timeout_s=args.shard_timeout,
+                                      hedge=not args.no_hedge)),
+        artifacts_dir=args.artifacts, resume_dir=args.resume,
+        chaos=_parse_chaos_picks(args.chaos_kill, args.chaos_stall,
+                                 args.chaos_slow, stall_s=30.0))
     rendered = render_fleet_report(report)
     problems: List[str] = []
     if not report.ok:
         problems.append(f"{len(report.violations)} conservation/sum "
                         "violation(s)")
-    if report.degraded and not allow_degraded:
+    if report.degraded and not args.allow_degraded:
         problems.append(f"degraded report: shards "
                         f"{report.missing_shards} missing (pass "
                         "--allow-degraded to accept a partial run)")
@@ -207,36 +173,36 @@ def _artifact_fleet(seconds: float, seed: int, workers: int = 1,
     return rendered
 
 
-def _artifact_profile(seconds: float, seed: int,
-                      workers: int = 1) -> str:
+def _artifact_profile(run: _Run) -> str:
     """Hot-loop attribution for a Simple-server TiVoPC run."""
     from repro.sim.profile import profiled
     from repro.tivopc.client import MeasurementClient
     from repro.tivopc.server import SimpleServer
     from repro.tivopc.testbed import Testbed, TestbedConfig
 
-    testbed = Testbed(TestbedConfig(seed=seed))
+    testbed = Testbed(TestbedConfig(seed=run.seed))
     testbed.start()
     MeasurementClient(testbed).start()
     SimpleServer(testbed).start()
     with profiled(testbed.sim) as profiler:
-        testbed.run(min(seconds, 5.0))
+        testbed.run(min(run.seconds, 5.0))
     return profiler.render()
 
 
-ARTIFACTS: Dict[str, Callable[..., str]] = {
-    "fig1": _artifact_fig1,
-    "fig9": _artifact_fig9,
-    "fig10": _artifact_fig10,
-    "table2": _artifact_table2,
-    "table3": _artifact_table3,
+ARTIFACTS: Mapping[str, Callable[[_Run], str]] = MappingProxyType({
+    "fig1": lambda run: render_fig1(run_fig1()),
+    "fig9": lambda run: render_fig9(run.server_results),
+    "fig10": lambda run: render_fig10(run.server_results),
+    "table2": lambda run: render_table2(run.server_results),
+    "table3": lambda run: render_table3(run.server_results),
     "table4": _artifact_table4,
     "fleet": _artifact_fleet,
-    "ilp": _artifact_ilp,
+    "ilp": lambda run: render_ilp_ablation(
+        run_ilp_vs_greedy(seed=run.seed or 7)),
     "power": _artifact_power,
     "profile": _artifact_profile,
     "sweeps": _artifact_sweeps,
-}
+})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -308,27 +274,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--chaos-stall needs --shard-timeout when workers != 1: "
             "the stall models a wedged worker and only the wall-clock "
             "watchdog reaps it; pass a timeout below the stall duration")
-    workers = None if args.workers == 0 else args.workers
-
+    run = _Run(args)
     names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
     for name in names:
-        extra = {}
-        if name == "fleet":
-            extra = {"clients": args.clients, "shards": args.shards,
-                     "fidelity": args.fidelity,
-                     "loss_rate": args.loss_rate,
-                     "artifacts_dir": args.artifacts,
-                     "resume_dir": args.resume,
-                     "max_retries": args.max_retries,
-                     "shard_timeout": args.shard_timeout,
-                     "hedge": not args.no_hedge,
-                     "allow_degraded": args.allow_degraded,
-                     "chaos": _parse_chaos_picks(
-                         args.chaos_kill, args.chaos_stall,
-                         args.chaos_slow, stall_s=30.0)}
         try:
-            print(ARTIFACTS[name](args.seconds, args.seed,
-                                  workers=workers, **extra))
+            print(ARTIFACTS[name](run))
         except FleetRunError as exc:
             print(exc.rendered)
             print(f"\nFLEET FAILURE: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.layout import (
@@ -62,30 +63,32 @@ SERVER_SCENARIOS = ("idle", "simple", "sendfile", "offloaded")
 CLIENT_SCENARIOS = ("idle", "user-space", "offloaded")
 
 # Published values (Tables 2-4), for paper-vs-measured reporting.
-PAPER_TABLE2 = {
+PAPER_TABLE2 = MappingProxyType({
     "simple": (6.99, 7.00, 0.5521),
     "sendfile": (6.00, 5.99, 0.4720),
     "offloaded": (5.00, 5.00, 0.0369),
-}
-PAPER_TABLE3 = {
+})
+PAPER_TABLE3 = MappingProxyType({
     "idle": (0.0290, 0.0286, 0.0009),
     "simple": (0.0750, 0.0750, 0.0012),
     "sendfile": (0.0590, 0.0620, 0.0008),
     "offloaded": (0.0290, 0.0286, 0.0009),
-}
-PAPER_TABLE4 = {
+})
+PAPER_TABLE4 = MappingProxyType({
     "idle": (0.0290, 0.0286, 0.0009),
     "user-space": (0.0730, 0.0690, 0.0032),
     "offloaded": (0.0290, 0.0286, 0.0009),
-}
+})
 # Figure 10, read off the bars: normalized kernel L2 miss rate.
-PAPER_FIG10 = {"idle": 1.00, "simple": 1.07, "sendfile": 1.005,
-               "offloaded": 1.00}
+PAPER_FIG10 = MappingProxyType({"idle": 1.00, "simple": 1.07,
+                                "sendfile": 1.005, "offloaded": 1.00})
 # Section 6.4 text: non-offloaded client generates 12 % more L2 misses.
-PAPER_CLIENT_L2 = {"idle": 1.00, "user-space": 1.12, "offloaded": 1.00}
+PAPER_CLIENT_L2 = MappingProxyType({"idle": 1.00, "user-space": 1.12,
+                                    "offloaded": 1.00})
 
-_SERVER_CLASSES = {"simple": SimpleServer, "sendfile": SendfileServer,
-                   "offloaded": OffloadedServer}
+_SERVER_CLASSES = MappingProxyType({"simple": SimpleServer,
+                                    "sendfile": SendfileServer,
+                                    "offloaded": OffloadedServer})
 
 
 @dataclass

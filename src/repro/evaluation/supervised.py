@@ -47,6 +47,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait as _wait_ready
+from types import MappingProxyType
 from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
@@ -157,7 +158,7 @@ class SupervisionStats:
 
 
 # The counter family behind each SupervisionStats field.
-_FAMILIES = {
+_FAMILIES = MappingProxyType({
     "retries": ("repro_fleet_shard_retries_total",
                 "Shard dispatches retried after a failure or timeout"),
     "hedges": ("repro_fleet_shard_hedges_total",
@@ -172,7 +173,7 @@ _FAMILIES = {
                          "Replacement worker processes spawned"),
     "quarantined": ("repro_fleet_shard_quarantined_total",
                     "Shards abandoned after exhausting retries"),
-}
+})
 
 
 @dataclass

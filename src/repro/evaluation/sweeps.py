@@ -30,21 +30,14 @@ from typing import Dict, List
 
 from repro import units
 from repro.errors import ReproError
+from repro.evaluation.experiments import _SERVER_CLASSES
 from repro.evaluation.supervised import SupervisedPool
 from repro.media.mpeg import StreamConfig
 from repro.tivopc.client import MeasurementClient
 from repro.tivopc.metrics import SummaryStats
-from repro.tivopc.server import (
-    OffloadedServer,
-    SendfileServer,
-    SimpleServer,
-)
 from repro.tivopc.testbed import Testbed, TestbedConfig
 
 __all__ = ["SweepPoint", "run_rate_sweep", "run_chunk_size_sweep"]
-
-_SERVER_CLASSES = {"simple": SimpleServer, "sendfile": SendfileServer,
-                   "offloaded": OffloadedServer}
 
 
 @dataclass

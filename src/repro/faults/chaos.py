@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro import units
 from repro.core.checkpoint import CheckpointConfig
@@ -106,7 +107,7 @@ class ChaosProfile:
 # Named presets for the chaos CLI (``--profile``).  Each is a complete
 # ChaosProfile; command-line overrides (``--seconds``) are applied on
 # top with dataclasses.replace.
-PROFILES: Dict[str, ChaosProfile] = {
+PROFILES: Mapping[str, ChaosProfile] = MappingProxyType({
     # The original soak: noise + transients + one hard crash.
     "default": ChaosProfile(),
     # Planned drain: no failures at all — a scripted live migration of
@@ -134,7 +135,7 @@ PROFILES: Dict[str, ChaosProfile] = {
         supervisor=SupervisorConfig(brownout_enter=50.0,
                                     brownout_exit=10.0),
         expect_admission=True),
-}
+})
 
 
 def generate_plan(seed: int, profile: Optional[ChaosProfile] = None

@@ -65,7 +65,7 @@ class FaultInjector:
     def _drive(self) -> Generator[Event, None, None]:
         for event in self.plan.sorted_events():
             if event.at_ns > self.sim.now:
-                yield self.sim.timeout(event.at_ns - self.sim.now)
+                yield self.sim.clock.timeout(event.at_ns - self.sim.now)
             try:
                 self._apply(event)
                 self.applied.append(event)

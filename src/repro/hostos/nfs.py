@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 from repro import units
 from repro.errors import FileSystemError
@@ -50,8 +50,6 @@ __all__ = [
 NFS_PORT = 2049
 _REQUEST_WIRE_BYTES = 120     # RPC header + file handle + offsets
 _RESPONSE_OVERHEAD_BYTES = 96
-
-_req_ids = itertools.count(1)
 
 
 @dataclass
@@ -135,16 +133,23 @@ class NfsServer:
 
 
 class _PendingTable:
-    """Matches NFS responses to outstanding requests by req_id."""
+    """Issues one client's request ids and matches responses to them.
+
+    The server replies to the sending socket, so ids need only be
+    unique per client."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._pending: Dict[int, Event] = {}
+        self._ids = itertools.count(1)
 
-    def register(self, req_id: int) -> Event:
-        event = self.sim.event()
-        self._pending[req_id] = event
-        return event
+    def request(self, op: str, handle: str, offset: int, size: int
+                ) -> Tuple[NfsRequest, Event]:
+        """A fresh request and the event its response will succeed."""
+        request = NfsRequest(op=op, handle=handle, offset=offset,
+                             size=size, req_id=next(self._ids))
+        event = self._pending[request.req_id] = self.sim.event()
+        return request, event
 
     def resolve(self, response: NfsResponse) -> None:
         event = self._pending.pop(response.req_id, None)
@@ -173,9 +178,7 @@ class HostNfsClient:
 
     def _call(self, op: str, handle: str, offset: int, size: int,
               wire_bytes: int) -> Generator[Event, None, NfsResponse]:
-        request = NfsRequest(op=op, handle=handle, offset=offset,
-                             size=size, req_id=next(_req_ids))
-        waiter = self._pending.register(request.req_id)
+        request, waiter = self._pending.request(op, handle, offset, size)
         yield from self.socket.sendto_kernel(self.server, wire_bytes,
                                              payload=request)
         response: NfsResponse = yield waiter
@@ -224,9 +227,7 @@ class DeviceNfsClient:
 
     def _call(self, op: str, handle: str, offset: int, size: int,
               wire_bytes: int) -> Generator[Event, None, NfsResponse]:
-        request = NfsRequest(op=op, handle=handle, offset=offset,
-                             size=size, req_id=next(_req_ids))
-        waiter = self._pending.register(request.req_id)
+        request, waiter = self._pending.request(op, handle, offset, size)
         yield from self.port.send(self.binding.number, self.server,
                                   wire_bytes, payload=request)
         response: NfsResponse = yield waiter

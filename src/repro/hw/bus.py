@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro import units
@@ -58,10 +59,11 @@ class BusSpec:
 
 
 # Help of each counter a bus exports as ``repro_bus_<name>_total``.
-_HELP = {"bytes_moved": "Bytes moved over the bus",
-         "transfers": "Completed bus transactions",
-         "sg_transfers": "Scatter-gather transactions",
-         "transient_faults": "Injected transient faults replayed on the bus"}
+_HELP = MappingProxyType({
+    "bytes_moved": "Bytes moved over the bus",
+    "transfers": "Completed bus transactions",
+    "sg_transfers": "Scatter-gather transactions",
+    "transient_faults": "Injected transient faults replayed on the bus"})
 
 
 @dataclass

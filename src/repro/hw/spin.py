@@ -40,7 +40,7 @@ from typing import Callable, Generator, Optional
 
 from repro.errors import DeviceError
 from repro.hw.bus import Bus
-from repro.hw.device import DeviceSpec, ProgrammableDevice
+from repro.hw.device import DeviceSpec
 from repro.hw.nic import Nic, NicSpec
 from repro.sim.engine import Event, Simulator
 

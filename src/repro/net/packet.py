@@ -8,8 +8,7 @@ the paper's 1 kB datagrams.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["Address", "Packet", "ETH_IP_UDP_HEADER_BYTES", "MAX_UDP_PAYLOAD"]
@@ -17,8 +16,6 @@ __all__ = ["Address", "Packet", "ETH_IP_UDP_HEADER_BYTES", "MAX_UDP_PAYLOAD"]
 # 14 (Ethernet) + 20 (IPv4) + 8 (UDP) = 42 bytes of headers per datagram.
 ETH_IP_UDP_HEADER_BYTES = 42
 MAX_UDP_PAYLOAD = 65_507
-
-_seq_counter = itertools.count()
 
 
 @dataclass(frozen=True, order=True)
@@ -38,15 +35,15 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
-@dataclass
+@dataclass(eq=False)
 class Packet:
-    """A UDP datagram in flight."""
+    """A UDP datagram in flight; two packets are equal only if they are
+    the same datagram."""
 
     src: Address
     dst: Address
     size_bytes: int
     payload: Any = None
-    seq: int = field(default_factory=lambda: next(_seq_counter))
     sent_at_ns: Optional[int] = None
     received_at_ns: Optional[int] = None
 
@@ -77,5 +74,4 @@ class Packet:
         return self.received_at_ns - self.sent_at_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Packet #{self.seq} {self.src}->{self.dst} "
-                f"{self.size_bytes}B>")
+        return f"<Packet {self.src}->{self.dst} {self.size_bytes}B>"

@@ -202,9 +202,9 @@ def run_filter_scenario(packets: int = 400, flows: int = 8,
                 sent_at_ns=sim.now)
             world.gen_tx(packet)
             # Line pacing: ~1 kB at gigabit every ~10 µs.
-            yield sim.timeout(10_000)
+            yield sim.clock.timeout(10_000)
         # Drain the last frames through the switch and the NIC.
-        yield sim.timeout(2_000_000)
+        yield sim.clock.timeout(2_000_000)
         elapsed_ns = sim.now - started
         host_cpu = world.machine.cpu.total_busy - host_cpu_before
         snapshot = yield from world.proxy.Snapshot()

@@ -28,7 +28,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from repro.core.channel import ChannelConfig
 from repro.core.interfaces import InterfaceSpec, MethodSpec
 from repro.core.odf import DeviceClassFilter, OdfDocument
 from repro.core.offcode import Offcode
@@ -298,7 +297,7 @@ def run_kv_chaos(seed: int = 0, keys: int = 80, batch: int = 8,
             results.update(got)
             fetched.extend(chunk)
             # Pace the batches so the crash lands mid-run.
-            yield sim.timeout(250_000)
+            yield sim.clock.timeout(250_000)
 
     plan = FaultPlan().crash_device(crash_at_ns, world.nic.name)
     injector = FaultInjector(sim, plan,

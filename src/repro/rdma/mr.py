@@ -23,7 +23,6 @@ like zeroed memory.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -31,17 +30,16 @@ from repro.errors import RdmaError
 
 __all__ = ["RdmaRegion"]
 
-_rkey_counter = itertools.count(0x1000)
-
 
 @dataclass
 class RdmaRegion:
-    """One registered memory region, addressed remotely by ``rkey``."""
+    """One registered memory region, addressed remotely by ``rkey``
+    (issued by the registering provider)."""
 
     owner: str                     # "host" or a device name
     size: int
+    rkey: int
     label: str = ""
-    rkey: int = field(default_factory=lambda: next(_rkey_counter))
     base: int = 0
     revoked: bool = False
     # Content stand-ins (the sim moves costs, not bytes).

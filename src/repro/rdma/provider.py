@@ -67,6 +67,10 @@ class RdmaProvider(ChannelProvider):
                                f"{machine.name}/{self.name}")
         self.regions: List[RdmaRegion] = []
         self._pin_cursor = itertools.count(0x9000_0000, 0x0100_0000)
+        # Ids this engine issues: rkeys for its regions and wr_ids for
+        # every queue pair it creates.
+        self._rkeys = itertools.count(0x1000)
+        self._wr_ids = itertools.count(1)
 
     def _register_metrics(self, metrics, label: str) -> None:
         """Verb counters plus the one-sided conservation law (``posted
@@ -223,8 +227,8 @@ class RdmaProvider(ChannelProvider):
                                                 label=label or "rdma-mr")
         yield from self.device.run_on_device(MR_REGISTER_NS,
                                              context="rdma-mr")
-        region = RdmaRegion(owner=owner, size=size, label=label,
-                            backing=backing)
+        region = RdmaRegion(owner=owner, size=size, rkey=next(self._rkeys),
+                            label=label, backing=backing)
         self.regions.append(region)
         return region
 
@@ -255,7 +259,7 @@ class RdmaProvider(ChannelProvider):
         # presence test must be identity, not truthiness.
         if cq is None:
             cq = self.create_cq(site)
-        return QueuePair(site, self.device, cq, self.counters)
+        return QueuePair(site, self.device, cq, self.counters, self._wr_ids)
 
     # -- internals --------------------------------------------------------------------
 

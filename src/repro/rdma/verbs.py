@@ -26,9 +26,9 @@ law ``posted == completed + failed`` stays checkable mid-chaos.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, List, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Generator, Iterable, Iterator, List
 
 from repro.errors import DeviceFailedError, RdmaError
 from repro.hw.bus import HOST_MEMORY
@@ -53,13 +53,12 @@ CQ_POLL_NS = 120
 MR_REGISTER_NS = 2_000
 CAS_WIRE_BYTES = 16
 
-_wr_counter = itertools.count(1)
-
 
 @dataclass
 class WorkRequest:
     """One posted verb, not yet completed."""
 
+    wr_id: int                     # unique per provider
     op: str                        # "read" | "write" | "cas"
     region: RdmaRegion
     offset: int
@@ -67,7 +66,6 @@ class WorkRequest:
     value: Any = None              # write payload
     expected: int = 0              # cas operands
     desired: int = 0
-    wr_id: int = field(default_factory=_wr_counter.__next__)
 
 
 @dataclass
@@ -178,7 +176,7 @@ RDMA_LAW = Law(
 
 # Help of the counter behind each RdmaStats field, exported as
 # ``repro_rdma_<field>_total`` under the engine's ``provider`` label.
-_HELP = {
+_HELP = MappingProxyType({
     "posted": "Work requests posted",
     "completed": "Work requests completed successfully",
     "failed": "Work requests completed with error status",
@@ -188,7 +186,7 @@ _HELP = {
     "doorbells": "Doorbell rings (one per submitted batch)",
     "bytes_read": "Bytes moved by one-sided reads",
     "bytes_written": "Bytes moved by one-sided writes",
-}
+})
 
 
 class RdmaCounters:
@@ -218,14 +216,17 @@ class QueuePair:
     Regions may live anywhere on the engine's bus — host memory, the
     engine's own local memory, or a peer device's (the smart-disk KV
     region) — the engine bus-masters the transfer either way.
+    ``wr_ids`` is the provider's work-request id issuer, shared by all
+    its queue pairs so a shared CQ never holds two equal ids.
     """
 
     def __init__(self, site, engine, cq: CompletionQueue,
-                 counters: RdmaCounters) -> None:
+                 counters: RdmaCounters, wr_ids: Iterator[int]) -> None:
         self.site = site
         self.engine = engine
         self.cq = cq
         self.counters = counters
+        self._wr_ids = wr_ids
         self._pending: List[WorkRequest] = []
 
     # -- posting (no simulated time) ------------------------------------------------
@@ -234,8 +235,8 @@ class QueuePair:
                   length: int) -> int:
         """Queue a one-sided read; returns the wr_id."""
         region.check(offset, length)
-        wr = WorkRequest(op="read", region=region, offset=offset,
-                         length=max(1, length))
+        wr = WorkRequest(next(self._wr_ids), "read", region, offset,
+                         max(1, length))
         self._pending.append(wr)
         self.counters.posted.inc()
         return wr.wr_id
@@ -244,8 +245,8 @@ class QueuePair:
                    length: int) -> int:
         """Queue a one-sided write; returns the wr_id."""
         region.check(offset, length)
-        wr = WorkRequest(op="write", region=region, offset=offset,
-                         length=max(1, length), value=value)
+        wr = WorkRequest(next(self._wr_ids), "write", region, offset,
+                         max(1, length), value=value)
         self._pending.append(wr)
         self.counters.posted.inc()
         return wr.wr_id
@@ -254,8 +255,8 @@ class QueuePair:
                               expected: int, desired: int) -> int:
         """Queue an atomic CAS on a 64-bit word; returns the wr_id."""
         region.check(offset, 8)
-        wr = WorkRequest(op="cas", region=region, offset=offset,
-                         length=8, expected=expected, desired=desired)
+        wr = WorkRequest(next(self._wr_ids), "cas", region, offset, 8,
+                         expected=expected, desired=desired)
         self._pending.append(wr)
         self.counters.posted.inc()
         return wr.wr_id

@@ -148,7 +148,7 @@ class Supervisor:
 
     def _loop(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.sim.timeout(self.config.period_ns)
+            yield self.sim.clock.timeout(self.config.period_ns)
             drains = self._scan_flaps()
             self._scan_probation()
             self._scan_brownout()

@@ -779,10 +779,6 @@ class Simulator:
         """Create a fresh pending event."""
         return Event(self)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` ns from now."""
-        return Timeout(self, int(delay), value)
-
     def spawn(self, generator: Generator[Event, Any, Any],
               name: Optional[str] = None, delay: int = 0) -> Process:
         """Start ``generator`` as a process after ``delay`` ns."""

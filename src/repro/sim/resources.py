@@ -20,7 +20,7 @@ events, run it in a process and combine the process.
 >>> sim = Simulator()
 >>> store = Store(sim)
 >>> def producer(sim, store):
-...     yield sim.timeout(5)
+...     yield sim.clock.timeout(5)
 ...     yield store.put("hello")
 >>> def consumer(sim, store, out):
 ...     item = yield store.get()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import MappingProxyType
 from typing import List, Optional
 
 # The full invocation tree the tivopc scenario must demonstrate
@@ -73,7 +74,7 @@ def run_chaos(seed: int, seconds: float):
     return run.testbed.telemetry
 
 
-_SCENARIOS = {"tivopc": run_tivopc, "chaos": run_chaos}
+_SCENARIOS = MappingProxyType({"tivopc": run_tivopc, "chaos": run_chaos})
 
 
 def _check_completeness(telemetry) -> List[str]:

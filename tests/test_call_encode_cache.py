@@ -101,7 +101,7 @@ def test_reissue_reuses_encoded_bytes():
     assert encodes(sim) == before          # no re-encode
     assert retry.encoded_args is call.encoded_args  # same bytes object
     assert retry.size_bytes == call.size_bytes
-    assert retry.call_id != call.call_id
+    assert retry is not call
     # Two-way calls get a fresh, unused descriptor.
     assert retry.return_descriptor is not None
     assert retry.return_descriptor is not call.return_descriptor

@@ -94,11 +94,11 @@ def _script():
     log = []
 
     def resume_later():
-        yield sim.timeout(STALL_NS)
+        yield sim.clock.timeout(STALL_NS)
         world.disk.health.resume()
 
     def crash_later():
-        yield sim.timeout(STALL_NS)
+        yield sim.clock.timeout(STALL_NS)
         world.disk.health.crash()
 
     def application():

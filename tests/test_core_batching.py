@@ -243,7 +243,8 @@ def test_adaptive_bypass_for_paced_traffic(world):
     def writer():
         for seq in range(10):
             yield from source.write(("m", seq), 188)
-            yield world.sim.timeout(100_000)  # far too slow to fill a batch
+            # Far too slow to fill a batch.
+            yield world.sim.clock.timeout(100_000)
 
     world.drive(writer())
     stats = channel.batcher.stats()

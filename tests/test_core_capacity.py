@@ -142,7 +142,7 @@ def test_tivopc_and_scanner_share_the_smart_disk():
     runtime.depot.register(scanner_guid, ScannerOffcode)
 
     def second_app():
-        yield testbed.sim.timeout(units.s_to_ns(1))
+        yield testbed.sim.clock.timeout(units.s_to_ns(1))
         yield from runtime.deploy(DeploymentSpec(odf_paths=("/scanner.odf",)))
 
     testbed.sim.spawn(second_app())

@@ -49,7 +49,7 @@ class CounterOffcode(Offcode):
 
     def main(self):
         while True:
-            yield self.site.sim.timeout(1_000_000)
+            yield self.site.sim.clock.timeout(1_000_000)
             self.count += 1
 
     def snapshot(self):

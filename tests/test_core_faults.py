@@ -8,7 +8,7 @@ device memory, channels and registrations all come back.
 
 import pytest
 
-from repro.errors import ChannelClosedError, ChannelError, HydraError
+from repro.errors import ChannelClosedError, HydraError
 from repro.core import (
     Buffering,
     CallPolicy,
@@ -52,7 +52,7 @@ class WorkerOffcode(Offcode):
 
     def main(self):
         while True:
-            yield self.site.sim.timeout(1_000_000)
+            yield self.site.sim.clock.timeout(1_000_000)
             self.loop_iterations += 1
 
 

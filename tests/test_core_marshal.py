@@ -140,10 +140,3 @@ def test_return_descriptor_error_delivery():
     descriptor.deliver_error(ValueError("remote failure"))
     sim.run()
     assert caught == ["remote failure"]
-
-
-def test_call_ids_unique():
-    sim = Simulator()
-    a = make_call(sim, ICALC, "Ping", ())
-    b = make_call(sim, ICALC, "Ping", ())
-    assert a.call_id != b.call_id

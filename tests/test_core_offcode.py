@@ -51,7 +51,7 @@ class TickerOffcode(Offcode):
 
     def main(self):
         while True:
-            yield self.site.sim.timeout(10_000)
+            yield self.site.sim.clock.timeout(10_000)
             self.ticks += 1
 
 

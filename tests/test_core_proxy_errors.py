@@ -42,7 +42,7 @@ class FallibleOffcode(Offcode):
         self.notified += 1
 
     def Slow(self):
-        yield self.site.sim.timeout(50_000)
+        yield self.site.sim.clock.timeout(50_000)
         return 99
 
 

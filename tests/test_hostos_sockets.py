@@ -213,6 +213,33 @@ def test_nfs_concurrent_requests_matched_correctly(nfs_world):
     assert results == {0: 512, 1: 1024, 2: 2048, 3: 4096}
 
 
+def test_nfs_request_ids_are_per_client(nfs_world):
+    """Two clients on one simulator both issue req_ids 1, 2, ... with
+    their requests interleaved; each gets back exactly its own replies."""
+    sim, server, first, cli_m = nfs_world
+    clients = {"a": first,
+               "b": HostNfsClient(first.kernel, Address("nas", NFS_PORT))}
+    replies = {tag: [] for tag in clients}
+    for tag, client in clients.items():
+        def resolve(response, tag=tag, inner=client._pending.resolve):
+            replies[tag].append((response.req_id, response.size))
+            inner(response)
+        client._pending.resolve = resolve
+    results = {}
+
+    def reader(tag, size):
+        results[tag, size] = yield from clients[tag].read(f"f-{tag}", 0, size)
+
+    for tag, size in (("a", 512), ("b", 1024), ("a", 1536), ("b", 2048)):
+        sim.spawn(reader(tag, size))
+    sim.run(until=units.s_to_ns(0.5))
+    assert results == {("a", 512): 512, ("b", 1024): 1024,
+                       ("a", 1536): 1536, ("b", 2048): 2048}
+    assert sorted(replies["a"]) == [(1, 512), (2, 1536)]
+    assert sorted(replies["b"]) == [(1, 1024), (2, 2048)]
+    assert server.reads_served == 4
+
+
 def test_device_nfs_client_bypasses_host_cpu():
     sim = Simulator()
     rng = RandomStreams(31)
@@ -271,7 +298,7 @@ def test_remote_file_readahead_hides_rtt(nfs_world):
     def proc():
         # First read warms the window (may stall)...
         yield from f.read(1024)
-        yield sim.timeout(units.ms_to_ns(20))
+        yield sim.clock.timeout(units.ms_to_ns(20))
         # ...after which sequential reads are served from the buffer.
         start_stalls = f.readahead_stalls
         for _ in range(16):

@@ -72,7 +72,7 @@ def test_utilization_fraction():
 
     def job(sim, cpu):
         yield from cpu.execute(300, context="x")
-        yield sim.timeout(700)
+        yield sim.clock.timeout(700)
 
     sim.spawn(job(sim, cpu))
     sim.run()
@@ -101,7 +101,7 @@ def test_sampler_windows():
 
     def phase(sim, cpu):
         yield from cpu.execute(500, context="x")   # busy 0..500
-        yield sim.timeout(500)                     # idle 500..1000
+        yield sim.clock.timeout(500)                     # idle 500..1000
 
     proc = sim.spawn(phase(sim, cpu))
     sim.run(until=500)

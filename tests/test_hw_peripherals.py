@@ -191,11 +191,11 @@ def test_disk_remote_backing_is_used():
     class Backing:
         def read_block(self, lba, size):
             calls.append(("r", lba))
-            yield sim.timeout(10)
+            yield sim.clock.timeout(10)
 
         def write_block(self, lba, size):
             calls.append(("w", lba))
-            yield sim.timeout(10)
+            yield sim.clock.timeout(10)
 
     disk.attach_backing(Backing())
     assert disk.remote_backed
@@ -238,7 +238,7 @@ def test_power_idle_vs_active():
 
     def job():
         yield from cpu.execute(units.s_to_ns(1), context="x")
-        yield sim.timeout(units.s_to_ns(1))
+        yield sim.clock.timeout(units.s_to_ns(1))
 
     sim.spawn(job())
     sim.run()

@@ -45,11 +45,6 @@ def test_packet_validation():
         packet(size=100_000)
 
 
-def test_packet_seq_monotonic():
-    a, b = packet(), packet()
-    assert b.seq > a.seq
-
-
 def test_packet_latency():
     p = packet()
     assert p.latency_ns() is None
@@ -115,12 +110,12 @@ def test_switch_forwards_between_stations():
     sim = Simulator()
     switch = make_switch(sim)
     got = []
-    tx_a = switch.attach("a", lambda p: got.append(("a", p.seq)))
-    switch.attach("b", lambda p: got.append(("b", p.seq)))
+    tx_a = switch.attach("a", lambda p: got.append(("a", p)))
+    switch.attach("b", lambda p: got.append(("b", p)))
     p = packet(src="a", dst="b")
     tx_a(p)
     sim.run()
-    assert got == [("b", p.seq)]
+    assert got == [("b", p)]
     assert switch.forwarded == 1
 
 
@@ -158,7 +153,7 @@ def test_switch_three_stations():
     sim = Simulator()
     switch = make_switch(sim)
     got = {name: [] for name in "abc"}
-    txs = {name: switch.attach(name, lambda p, n=name: got[n].append(p.seq))
+    txs = {name: switch.attach(name, lambda p, n=name: got[n].append(p))
            for name in "abc"}
     txs["a"](packet(src="a", dst="c"))
     txs["b"](packet(src="b", dst="a"))

@@ -127,12 +127,12 @@ def test_mux_and_host_coexist(world):
     def firmware():
         while True:
             packet = yield from fw_binding.recv()
-            fw_got.append(packet.seq)
+            fw_got.append(packet)
 
     def host_receiver():
         while True:
             packet = yield from host_sock.recvfrom()
-            host_got.append(packet.seq)
+            host_got.append(packet)
 
     def sender():
         sock = sb.socket()
@@ -146,3 +146,5 @@ def test_mux_and_host_coexist(world):
     run_for(sim)
     assert len(fw_got) == 3
     assert len(host_got) == 3
+    assert {p.dst.port for p in fw_got} == {7000}
+    assert {p.dst.port for p in host_got} == {8000}

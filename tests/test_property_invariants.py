@@ -73,7 +73,7 @@ def test_property_resource_never_oversubscribed(holds, capacity):
     def job(duration):
         yield resource.request()
         max_seen[0] = max(max_seen[0], resource.in_use)
-        yield sim.timeout(duration)
+        yield sim.clock.timeout(duration)
         resource.release()
 
     for duration in holds:
@@ -137,7 +137,7 @@ def test_property_channel_conserves_messages(sizes, reliable):
 def test_property_link_is_fifo_even_with_jitter(sizes, jitter):
     sim = Simulator()
     arrived = []
-    link = Link(sim, lambda p: arrived.append(p.seq),
+    link = Link(sim, arrived.append,
                 LinkSpec(bandwidth_bps=1e9, propagation_ns=1_000,
                          jitter_sigma_ns=jitter))
     packets = [Packet(src=Address("a", 1), dst=Address("b", 2),
@@ -147,9 +147,9 @@ def test_property_link_is_fifo_even_with_jitter(sizes, jitter):
     sim.run()
     assert len(arrived) == len(sizes)
     # Serialization is FIFO; only post-wire jitter varies, and it is
-    # per-packet — order of *transmission completion* is preserved.
-    sent_order = [p.seq for p in packets]
-    assert sorted(arrived) == sorted(sent_order)
+    # per-packet — every packet sent arrives, exactly once.  Packets
+    # compare by identity.
+    assert set(arrived) == set(packets)
 
 
 # -- layout relaxation monotonicity -----------------------------------------------------------

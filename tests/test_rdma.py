@@ -12,10 +12,9 @@ from repro.core.providers import DmaChannelProvider, LoopbackProvider
 from repro.core.runtime import HydraRuntime
 from repro.core.sites import DeviceSite, HostSite
 from repro.hw import Machine, NicSpec
-from repro.rdma.mr import RdmaRegion
-from repro.rdma.kv import run_kv_chaos
+from repro.rdma.kv import build_kv_world, deploy_cache, run_kv_chaos
 from repro.rdma.provider import RDMA_FEATURE, RdmaProvider
-from repro.rdma.verbs import CAS_WIRE_BYTES, CompletionQueue
+from repro.rdma.verbs import CompletionQueue
 from repro.sim import Simulator
 from repro.telemetry.adapters import check_rdma_conservation
 
@@ -296,3 +295,36 @@ def test_kv_chaos_verdict_includes_the_verb_breakdown(monkeypatch):
     assert report["posted"] == report["completed"] + report["failed"]
     assert not report["conservation_ok"]
     assert not report["ok"]
+
+
+def _first_ids(world):
+    """Deploy the cache; return its region's rkey and the first wr_id."""
+    world.sim.run_until_event(world.sim.spawn(deploy_cache(world)))
+    return world.region.rkey, world.client.qp.post_read(world.region, 0, 8)
+
+
+def test_rkeys_and_wr_ids_are_issued_per_provider():
+    """Two KV worlds in one process issue the same ids: neither sees
+    the other's rkeys or work requests."""
+    first, second = build_kv_world(), build_kv_world()
+    assert _first_ids(first) == _first_ids(second)
+    assert first.provider is not second.provider
+
+
+def test_queue_pairs_sharing_a_cq_get_distinct_wr_ids():
+    world = build_kv_world()
+    _first_ids(world)
+    qp = world.client.qp
+    other = world.provider.create_qp(world.runtime.host_site, cq=qp.cq)
+    ids = [qp.post_read(world.region, 0, 8),
+           other.post_read(world.region, 64, 8),
+           qp.post_read(world.region, 128, 8)]
+    assert len(set(ids)) == 3
+
+    def drain():
+        yield from qp.ring_doorbell()
+        yield from other.ring_doorbell()
+
+    world.sim.run_until_event(world.sim.spawn(drain()))
+    completed = [c.wr_id for c in qp.cq.poll()]
+    assert len(completed) == len(set(completed)) == 4

@@ -103,7 +103,7 @@ def test_interrupt_abandons_large_condition_lazily():
     interrupt delivered once and the process able to wait again.
     """
     sim = Simulator()
-    waiters = [sim.timeout(10_000 + i) for i in range(1_000)]
+    waiters = [sim.clock.timeout(10_000 + i) for i in range(1_000)]
     condition = sim.all_of(waiters)
     seen = {}
 
@@ -113,12 +113,12 @@ def test_interrupt_abandons_large_condition_lazily():
         except InterruptError as exc:
             seen["cause"] = exc.cause
             seen["interrupted_at"] = sim.now
-        seen["value"] = yield sim.timeout(5, "after")
+        seen["value"] = yield sim.clock.timeout(5, "after")
 
     proc = sim.spawn(waiter())
 
     def interrupter():
-        yield sim.timeout(100)
+        yield sim.clock.timeout(100)
         proc.interrupt("abandon")
         # Lazy cancellation: the abandoned condition still carries the
         # stale callback — no scan removed it.
@@ -157,7 +157,7 @@ def test_stale_pooled_timeout_wakeup_is_dropped():
     proc = sim.spawn(sleeper())
 
     def interrupter():
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         proc.interrupt()
 
     sim.spawn(interrupter())

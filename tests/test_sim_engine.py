@@ -11,7 +11,7 @@ def test_timeout_advances_clock():
     fired = []
 
     def proc(sim):
-        yield sim.timeout(100)
+        yield sim.clock.timeout(100)
         fired.append(sim.now)
 
     sim.spawn(proc(sim))
@@ -25,7 +25,7 @@ def test_timeouts_fire_in_order():
     order = []
 
     def waiter(sim, delay, tag):
-        yield sim.timeout(delay)
+        yield sim.clock.timeout(delay)
         order.append(tag)
 
     sim.spawn(waiter(sim, 30, "c"))
@@ -40,7 +40,7 @@ def test_same_time_events_fifo_by_schedule_order():
     order = []
 
     def waiter(sim, tag):
-        yield sim.timeout(5)
+        yield sim.clock.timeout(5)
         order.append(tag)
 
     for tag in "abcde":
@@ -54,7 +54,7 @@ def test_zero_delay_timeout():
     out = []
 
     def proc(sim):
-        yield sim.timeout(0)
+        yield sim.clock.timeout(0)
         out.append(sim.now)
 
     sim.spawn(proc(sim))
@@ -65,7 +65,7 @@ def test_zero_delay_timeout():
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SchedulingError):
-        sim.timeout(-1)
+        sim.clock.timeout(-1)
 
 
 def test_process_return_value_via_join():
@@ -73,7 +73,7 @@ def test_process_return_value_via_join():
     result = []
 
     def child(sim):
-        yield sim.timeout(7)
+        yield sim.clock.timeout(7)
         return 42
 
     def parent(sim):
@@ -90,11 +90,11 @@ def test_join_already_finished_process():
     result = []
 
     def child(sim):
-        yield sim.timeout(1)
+        yield sim.clock.timeout(1)
         return "done"
 
     def parent(sim, proc):
-        yield sim.timeout(50)
+        yield sim.clock.timeout(50)
         value = yield proc
         result.append((sim.now, value))
 
@@ -109,7 +109,7 @@ def test_process_exception_propagates_to_joiner():
     caught = []
 
     def child(sim):
-        yield sim.timeout(1)
+        yield sim.clock.timeout(1)
         raise ValueError("boom")
 
     def parent(sim):
@@ -127,7 +127,7 @@ def test_unhandled_process_exception_escapes_run():
     sim = Simulator()
 
     def bad(sim):
-        yield sim.timeout(1)
+        yield sim.clock.timeout(1)
         raise RuntimeError("unhandled")
 
     sim.spawn(bad(sim))
@@ -183,7 +183,7 @@ def test_manual_event_succeed():
         out.append((sim.now, value))
 
     def opener(sim, gate):
-        yield sim.timeout(33)
+        yield sim.clock.timeout(33)
         gate.succeed("open")
 
     sim.spawn(waiter(sim, gate))
@@ -213,12 +213,12 @@ def test_interrupt_wakes_waiter():
 
     def sleeper(sim):
         try:
-            yield sim.timeout(1_000_000)
+            yield sim.clock.timeout(1_000_000)
         except InterruptError as exc:
             out.append((sim.now, exc.cause))
 
     def interrupter(sim, proc):
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         proc.interrupt("wakeup")
 
     proc = sim.spawn(sleeper(sim))
@@ -231,7 +231,7 @@ def test_interrupt_finished_process_rejected():
     sim = Simulator()
 
     def quick(sim):
-        yield sim.timeout(1)
+        yield sim.clock.timeout(1)
 
     proc = sim.spawn(quick(sim))
     sim.run()
@@ -244,7 +244,7 @@ def test_run_until_stops_clock_exactly():
 
     def ticker(sim):
         while True:
-            yield sim.timeout(10)
+            yield sim.clock.timeout(10)
 
     sim.spawn(ticker(sim))
     sim.run(until=95)
@@ -264,7 +264,7 @@ def test_run_until_event():
     sim = Simulator()
 
     def worker(sim):
-        yield sim.timeout(42)
+        yield sim.clock.timeout(42)
         return "ok"
 
     proc = sim.spawn(worker(sim))
@@ -284,8 +284,8 @@ def test_any_of_triggers_on_first():
     out = []
 
     def proc(sim):
-        t_short = sim.timeout(5, "short")
-        t_long = sim.timeout(50, "long")
+        t_short = sim.clock.timeout(5, "short")
+        t_long = sim.clock.timeout(50, "long")
         result = yield sim.any_of([t_short, t_long])
         out.append((sim.now, sorted(result.values())))
 
@@ -299,7 +299,7 @@ def test_all_of_waits_for_all():
     out = []
 
     def proc(sim):
-        events = [sim.timeout(d, d) for d in (5, 20, 10)]
+        events = [sim.clock.timeout(d, d) for d in (5, 20, 10)]
         result = yield sim.all_of(events)
         out.append((sim.now, sorted(result.values())))
 
@@ -326,7 +326,7 @@ def test_nested_processes():
     trace = []
 
     def leaf(sim, tag):
-        yield sim.timeout(3)
+        yield sim.clock.timeout(3)
         trace.append(tag)
         return tag
 
@@ -348,7 +348,7 @@ def test_nested_processes():
 def test_peek_reports_next_timestamp():
     sim = Simulator()
     assert sim.peek() is None
-    sim.timeout(17)
+    sim.clock.timeout(17)
     assert sim.peek() == 17
 
 
@@ -359,7 +359,7 @@ def test_many_processes_deterministic():
 
         def worker(sim, i):
             for k in range(5):
-                yield sim.timeout((i * 7 + k * 3) % 11 + 1)
+                yield sim.clock.timeout((i * 7 + k * 3) % 11 + 1)
                 log.append((sim.now, i, k))
 
         for i in range(20):

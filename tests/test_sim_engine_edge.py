@@ -11,12 +11,12 @@ def test_any_of_fails_if_first_child_fails():
     caught = []
 
     def failer():
-        yield sim.timeout(5)
+        yield sim.clock.timeout(5)
         raise ValueError("child died")
 
     def waiter():
         child = sim.spawn(failer())
-        slow = sim.timeout(100)
+        slow = sim.clock.timeout(100)
         try:
             yield sim.any_of([child, slow])
         except ValueError as exc:
@@ -32,12 +32,12 @@ def test_all_of_fails_fast_on_child_failure():
     caught = []
 
     def failer():
-        yield sim.timeout(5)
+        yield sim.clock.timeout(5)
         raise RuntimeError("boom")
 
     def waiter():
         child = sim.spawn(failer())
-        slow = sim.timeout(1_000)
+        slow = sim.clock.timeout(1_000)
         try:
             yield sim.all_of([child, slow])
         except RuntimeError:
@@ -51,12 +51,12 @@ def test_all_of_fails_fast_on_child_failure():
 
 def test_any_of_with_already_processed_event():
     sim = Simulator()
-    done = sim.timeout(1)
+    done = sim.clock.timeout(1)
     sim.run(until=10)
     out = []
 
     def waiter():
-        result = yield sim.any_of([done, sim.timeout(50)])
+        result = yield sim.any_of([done, sim.clock.timeout(50)])
         out.append((sim.now, list(result.values())))
 
     sim.spawn(waiter())
@@ -96,7 +96,7 @@ def test_run_until_event_with_limit():
     sim = Simulator()
 
     def slow():
-        yield sim.timeout(1_000)
+        yield sim.clock.timeout(1_000)
 
     proc = sim.spawn(slow())
     with pytest.raises(ProcessError):
@@ -130,7 +130,7 @@ def test_interrupt_non_waiting_process_rejected():
 def test_events_from_other_simulator_rejected():
     sim1 = Simulator()
     sim2 = Simulator()
-    foreign = sim2.timeout(5)
+    foreign = sim2.clock.timeout(5)
 
     def waiter():
         yield foreign

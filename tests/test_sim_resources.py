@@ -18,7 +18,7 @@ def test_store_fifo_order():
     def producer(sim, store):
         for i in range(3):
             yield store.put(i)
-            yield sim.timeout(1)
+            yield sim.clock.timeout(1)
 
     def consumer(sim, store):
         for _ in range(3):
@@ -41,7 +41,7 @@ def test_store_get_blocks_until_put():
         got.append((sim.now, item))
 
     def producer(sim, store):
-        yield sim.timeout(40)
+        yield sim.clock.timeout(40)
         yield store.put("x")
 
     sim.spawn(consumer(sim, store))
@@ -62,7 +62,7 @@ def test_store_capacity_blocks_putter():
         timeline.append(("put-b", sim.now))
 
     def consumer(sim, store):
-        yield sim.timeout(25)
+        yield sim.clock.timeout(25)
         item = yield store.get()
         timeline.append(("got-" + item, sim.now))
 
@@ -101,7 +101,7 @@ def test_store_handoff_to_waiting_getter_bypasses_capacity():
         got.append(item)
 
     def producer(sim, store):
-        yield sim.timeout(1)
+        yield sim.clock.timeout(1)
         yield store.put("direct")
 
     sim.spawn(consumer(sim, store))
@@ -127,7 +127,7 @@ def test_store_multiple_getters_fifo():
         got.append((tag, item))
 
     def producer(sim, store):
-        yield sim.timeout(5)
+        yield sim.clock.timeout(5)
         yield store.put(1)
         yield store.put(2)
 
@@ -150,7 +150,7 @@ def test_resource_serializes_holders():
     def job(sim, cpu, tag, work):
         yield cpu.request()
         start = sim.now
-        yield sim.timeout(work)
+        yield sim.clock.timeout(work)
         cpu.release()
         spans.append((tag, start, sim.now))
 
@@ -167,7 +167,7 @@ def test_resource_capacity_two_runs_in_parallel():
 
     def job(sim, res, tag):
         yield res.request()
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         res.release()
         spans.append((tag, sim.now))
 
@@ -190,9 +190,9 @@ def test_resource_utilization_tracking():
 
     def job(sim, res):
         yield res.request()
-        yield sim.timeout(30)
+        yield sim.clock.timeout(30)
         res.release()
-        yield sim.timeout(70)
+        yield sim.clock.timeout(70)
 
     sim.spawn(job(sim, res))
     sim.run()
@@ -210,7 +210,7 @@ def test_resource_utilization_spans_the_whole_run():
 
     def job(sim, res):
         yield res.request()
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         res.release()
 
     sim.spawn(job(sim, res))
@@ -227,7 +227,7 @@ def test_resource_utilization_counts_open_interval():
 
     def holder(sim, res):
         yield res.request()
-        yield sim.timeout(1_000_000)
+        yield sim.clock.timeout(1_000_000)
 
     sim.spawn(holder(sim, res))
     sim.run(until=100)
@@ -248,9 +248,9 @@ def test_container_get_blocks_until_level():
         out.append(sim.now)
 
     def producer(sim, tank):
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         yield tank.put(20)
-        yield sim.timeout(10)
+        yield sim.clock.timeout(10)
         yield tank.put(20)
 
     sim.spawn(consumer(sim, tank))
@@ -270,7 +270,7 @@ def test_container_put_blocks_at_capacity():
         out.append(sim.now)
 
     def consumer(sim, tank):
-        yield sim.timeout(15)
+        yield sim.clock.timeout(15)
         yield tank.get(25)
 
     sim.spawn(producer(sim, tank))

@@ -240,7 +240,8 @@ def test_cli_fails_on_a_conservation_violation(tmp_path, capsys,
             labels=("runtime",)).labels(runtime="injected").set(1)
         return telemetry
 
-    monkeypatch.setitem(cli._SCENARIOS, "violated", violated)
+    monkeypatch.setattr(cli, "_SCENARIOS",
+                        {**cli._SCENARIOS, "violated": violated})
     assert cli.main(["--scenario", "violated", "--seconds", "0.8",
                      "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [

@@ -119,12 +119,12 @@ def test_ctx_is_keyed_per_process():
 
     def pusher():
         token = tel.push_ctx(SpanContext(1, 10))
-        yield sim.timeout(100)            # let the peer run in between
+        yield sim.clock.timeout(100)  # let the peer run in between
         seen["pusher_mid"] = tel.current_ctx()
         tel.pop_ctx(token)
 
     def peer():
-        yield sim.timeout(50)             # runs while pusher's ctx is live
+        yield sim.clock.timeout(50)  # runs while pusher's ctx is live
         seen["peer"] = tel.current_ctx()
 
     sim.spawn(pusher())

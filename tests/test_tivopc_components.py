@@ -157,12 +157,12 @@ def test_streamer_disk_role_appends_to_file():
             self.sim = world.sim
 
         def read(self, handle, offset, size):
-            yield world.sim.timeout(10)
+            yield world.sim.clock.timeout(10)
             return size
 
         def write(self, handle, offset, size):
             self.written += size
-            yield world.sim.timeout(10)
+            yield world.sim.clock.timeout(10)
             return size
 
     nfs = FakeNfs()
@@ -194,11 +194,11 @@ def test_streamer_pull_violation_rejected():
         sim = world.sim
 
         def read(self, handle, offset, size):
-            yield world.sim.timeout(1)
+            yield world.sim.clock.timeout(1)
             return size
 
         def write(self, handle, offset, size):
-            yield world.sim.timeout(1)
+            yield world.sim.clock.timeout(1)
             return size
 
     file_elsewhere = FileOffcode(DeviceSite(world.gpu), FakeNfs())
@@ -258,11 +258,11 @@ def test_broadcast_waits_for_required_file():
         sim = world.sim
 
         def read(self, handle, offset, size):
-            yield world.sim.timeout(1)
+            yield world.sim.clock.timeout(1)
             return size
 
         def write(self, handle, offset, size):
-            yield world.sim.timeout(1)
+            yield world.sim.clock.timeout(1)
             return size
 
     file_offcode = FileOffcode(site, FakeNfs())

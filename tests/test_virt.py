@@ -42,7 +42,7 @@ class VmmWorld:
             for i in range(count):
                 port = 1000 + (i % 3) * 700   # 1000,1700,2400,...
                 yield from sock.sendto(Address("vmm-host", port), size)
-                yield sim.timeout(200_000)
+                yield sim.clock.timeout(200_000)
 
         sim.spawn(sender())
         sim.run(until=sim.now + units.s_to_ns(1))
