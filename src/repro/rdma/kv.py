@@ -132,7 +132,10 @@ class KvClient:
                 wr_id = self.qp.post_read(
                     self.region, slot_offset(key, self.slots), SLOT_BYTES)
                 wr_to_key[wr_id] = key
-            completions = yield from self.qp.ring_doorbell()
+            # Take the batch off the client's own CQ, which would
+            # otherwise keep every completion of the run.
+            yield from self.qp.ring_doorbell()
+            completions = self.qp.cq.poll()
             for completion in completions:
                 key = wr_to_key[completion.wr_id]
                 slot = completion.value if completion.ok else None

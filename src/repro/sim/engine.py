@@ -31,16 +31,21 @@ Every simulated nanosecond in this repository flows through this loop,
 so the per-event costs are engineered away:
 
 * **The queue is a hierarchical timer wheel**, not a binary heap.  A
-  small *active* heap holds only the entries inside the current
-  granularity window; behind it sit two fixed-slot wheels (L0: 256
-  slots x 256 ns, L1: 256 slots x 65.5 us) and a far-future overflow
-  heap.  Most inserts are an O(1) ``list.append`` plus a bitmap OR;
-  the heap's O(log n) churn is paid only inside a 256 ns window, where
-  n is tiny.  Occupied slots are tracked in an integer bitmap so the
-  refill scan is one ``(occ & -occ).bit_length()``.  ``Simulator(
-  scheduler="heap")`` disables the wheels (every insert goes to the
-  active heap), giving a reference engine for differential tests; both
-  modes pop entries in the identical ``(time, priority, seq)`` order.
+  sorted *active window* list, popped by advancing a cursor, holds only
+  the entries before ``_active_end``; behind it sit two fixed-slot
+  wheels (L0: 256 slots x 256 ns, L1: 256 slots x 65.5 us) and a
+  far-future overflow heap.  Most inserts are an O(1) ``list.append``
+  plus one byte store; only inserts inside the window pay a C
+  ``bisect.insort``.  Each wheel tracks its occupied slots in a
+  ``bytearray`` (1 = non-empty), so the refill scan is one C-level
+  ``.find(1)``.  A refill sorts occupied L0 slots into the window until
+  it holds ``_REFILL_BATCH`` entries.  An L1 slot holding fewer than
+  that skips L0: it becomes the window at once, spanning all of L0,
+  which is where scattering it over L0 and gathering it back would
+  end, so each entry is moved once.  ``Simulator(scheduler="heap")``
+  disables the wheels (every insert goes to the active window), giving
+  a reference engine for differential tests; both modes pop entries in
+  the identical ``(time, priority, seq)`` order.
 * **The delay->resume pattern is fused.**  ``yield clock.after(dt)``
   does not build an Event at all: the engine schedules the *process
   itself* as a queue entry and resumes its generator directly when the
@@ -58,7 +63,7 @@ so the per-event costs are engineered away:
   and the callback dispatch are gone.  Waits that can block, anything
   stored or combined, and process completion stay Events.
 * **Cancellation is lazy but bounded.**  :meth:`Process.interrupt` and
-  :meth:`Timer.cancel` never scan the active heap; a cancelled wheel
+  :meth:`Timer.cancel` never scan the active window; a cancelled wheel
   entry is removed in place when its slot is reachable (O(slot)) and
   otherwise left to be dropped at pop time.  The ``dead_timers`` gauge
   counts entries awaiting lazy reclamation and :meth:`Simulator.reclaim`
@@ -132,6 +137,11 @@ _L1_SHIFT = 16
 _SLOTS = 256
 _L0_SPAN = _SLOTS << _L0_SHIFT
 _L1_SPAN = _SLOTS << _L1_SHIFT
+
+# A refill widens the active window over occupied L0 slots until it
+# holds this many entries; an L1 slot holding fewer skips L0 and becomes
+# the whole window at once (see Simulator._refill).
+_REFILL_BATCH = 32
 
 _INF = float("inf")
 
@@ -304,7 +314,7 @@ class Timer:
 
         The queue entry is removed in place when it sits in a wheel
         slot (O(slot length)); entries already promoted to the active
-        heap (or parked in the overflow heap) are dropped lazily at pop
+        window (or parked in the overflow heap) are dropped lazily at pop
         time and counted in :attr:`Simulator.dead_timers` meanwhile.
         """
         if self._cancelled or self.when is None:
@@ -812,7 +822,7 @@ class Simulator:
     # -- queue: inserts ----------------------------------------------------
 
     def _insert(self, when: int, priority: int, obj: Any) -> int:
-        """Route one entry to the active heap or the wheels.  Returns seq."""
+        """Route one entry to the active window or the wheels.  Returns seq."""
         self._seq = seq = self._seq + 1
         entry = (when, priority, seq, obj)
         if when < self._active_end:
@@ -828,19 +838,6 @@ class Simulator:
         else:
             heappush(self._overflow, entry)
         return seq
-
-    def _wheel_insert(self, when: int, entry: tuple) -> None:
-        """Insert a pre-built entry known to be >= _active_end."""
-        if when < self._l0_end:
-            i = (when - self._l0_base) >> _L0_SHIFT
-            self._l0[i].append(entry)
-            self._l0_occ[i] = 1
-        elif when < self._l1_end:
-            i = (when - self._l1_base) >> _L1_SHIFT
-            self._l1[i].append(entry)
-            self._l1_occ[i] = 1
-        else:
-            heappush(self._overflow, entry)
 
     def _push(self, event: Event, delay: int, priority: int = NORMAL) -> None:
         if delay < 0:
@@ -875,8 +872,8 @@ class Simulator:
         """Try to remove entry ``(when, NORMAL, seq, obj)`` in place.
 
         Only wheel slots allow cheap removal (an O(slot-length) list
-        scan); entries in the active or overflow heaps return False and
-        are dropped lazily at pop time.
+        scan); entries in the active window or the overflow heap return
+        False and are dropped lazily at pop time.
         """
         if when < self._active_end:
             return False
@@ -951,13 +948,14 @@ class Simulator:
     # -- queue: refill ------------------------------------------------------
 
     def _refill(self, horizon) -> bool:
-        """Feed the empty active heap from the wheels/overflow.
+        """Feed the empty active window from the wheels/overflow.
 
-        Moves the earliest pending slot into the active heap and
-        advances the window, cascading L1 -> L0 and overflow -> L1 as
-        needed.  Returns False (windows untouched at the decision
-        point) when the earliest pending entry lies beyond ``horizon``
-        or nothing is pending.  Precondition: the active heap is empty.
+        Moves the earliest pending slots into the active window and
+        advances it, cascading L1 -> L0 and overflow -> L1 as needed; a
+        sparse L1 slot goes straight into the window.  Returns False
+        (windows untouched at the decision point) when the earliest
+        pending entry lies beyond ``horizon`` or nothing is pending.
+        Precondition: the active window is drained.
         """
         active = self._active
         if active:
@@ -984,7 +982,7 @@ class Simulator:
                 # claim its whole span so the next refill cascades
                 # straight from L1.
                 end_i = i
-                while len(active) < 32:
+                while len(active) < _REFILL_BATCH:
                     nxt = occ.find(1, end_i + 1)
                     if nxt < 0:
                         end_i = _SLOTS - 1
@@ -1006,10 +1004,21 @@ class Simulator:
                     # advances the windows without materializing work.
                     return False
                 # Cascade: this L1 slot's window spans exactly the whole
-                # L0 wheel, so re-base L0 on it and redistribute.
+                # L0 wheel, so re-base L0 on it.
                 base = self._l1_base + (j << _L1_SHIFT)
                 self._l0_base = base
-                self._l0_end = base + _L0_SPAN
+                self._l0_end = end = base + _L0_SPAN
+                occ[j] = 0
+                if len(slot) < _REFILL_BATCH:
+                    # Sparse slot: scattered into L0, the batching loop
+                    # above would gather every entry back and claim the
+                    # whole L0 span, so make that window directly.
+                    active.extend(slot)
+                    del slot[:]
+                    active.sort()
+                    self._active_end = end
+                    return True
+                # Dense slot: redistribute it over L0.
                 l0 = self._l0
                 l0_occ = self._l0_occ
                 for entry in slot:
@@ -1017,7 +1026,6 @@ class Simulator:
                     l0[k].append(entry)
                     l0_occ[k] = 1
                 del slot[:]
-                occ[j] = 0
                 continue
             overflow = self._overflow
             if overflow:
@@ -1149,11 +1157,12 @@ class Simulator:
         # run.  Keep this loop in lockstep with step()/_resume_cont().
         # Wheel-window state is cached in locals; it only changes inside
         # _refill(), so the caches are refreshed each outer iteration.
-        # (The occupancy bytearray, slot lists and active list are
-        # mutated in place, never rebound, so those references stay
-        # valid throughout.)
+        # (The occupancy bytearrays, wheel and slot lists, overflow heap
+        # and active list are mutated in place, never rebound, so those
+        # references stay valid throughout.)
         horizon = _INF if until is None else until
         active = self._active
+        overflow = self._overflow
         dpool = self._deferred_pool
         pool_limit = self._pool_limit
         # sim._active_process only matters to telemetry span attribution;
@@ -1170,6 +1179,10 @@ class Simulator:
                 l0_occ = self._l0_occ
                 l0_base = self._l0_base
                 l0_end = self._l0_end
+                l1 = self._l1
+                l1_occ = self._l1_occ
+                l1_base = self._l1_base
+                l1_end = self._l1_end
                 while True:
                     try:
                         entry = active[ai]
@@ -1221,17 +1234,6 @@ class Simulator:
                                 raise SchedulingError(
                                     f"negative timeout delay: {target}")
                             when2 = when + target
-                            self._seq = seq2 = self._seq + 1
-                            obj._cont_seq = seq2
-                            if when2 < active_end:
-                                insort(active, (when2, NORMAL, seq2, obj), ai)
-                            elif when2 < l0_end:
-                                i = (when2 - l0_base) >> _L0_SHIFT
-                                l0[i].append((when2, NORMAL, seq2, obj))
-                                l0_occ[i] = 1
-                            else:
-                                self._wheel_insert(
-                                    when2, (when2, NORMAL, seq2, obj))
                         elif tcls is _Deferred:
                             delay = target.delay
                             if delay < 0:
@@ -1240,20 +1242,29 @@ class Simulator:
                                     "each handle exactly once, immediately "
                                     "(use clock.timeout() to store sleeps)")
                             when2 = when + delay
-                            self._seq = seq2 = self._seq + 1
-                            obj._cont_seq = seq2
                             obj._cont_value = target.value
                             target.delay = -1
                             target.value = None
                             if len(dpool) < pool_limit:
                                 dpool.append(target)
-                            if when2 < active_end:
-                                insort(active, (when2, NORMAL, seq2, obj), ai)
-                            else:
-                                self._wheel_insert(
-                                    when2, (when2, NORMAL, seq2, obj))
                         else:
                             obj._bind(target)
+                            continue
+                        # Either sleep re-queues the process itself.
+                        self._seq = seq2 = self._seq + 1
+                        obj._cont_seq = seq2
+                        if when2 < active_end:
+                            insort(active, (when2, NORMAL, seq2, obj), ai)
+                        elif when2 < l0_end:
+                            i = (when2 - l0_base) >> _L0_SHIFT
+                            l0[i].append((when2, NORMAL, seq2, obj))
+                            l0_occ[i] = 1
+                        elif when2 < l1_end:
+                            i = (when2 - l1_base) >> _L1_SHIFT
+                            l1[i].append((when2, NORMAL, seq2, obj))
+                            l1_occ[i] = 1
+                        else:
+                            heappush(overflow, (when2, NORMAL, seq2, obj))
                         continue
                     stale = obj._stale_seqs
                     if stale is not None and seq in stale:

@@ -328,3 +328,20 @@ def test_queue_pairs_sharing_a_cq_get_distinct_wr_ids():
     world.sim.run_until_event(world.sim.spawn(drain()))
     completed = [c.wr_id for c in qp.cq.poll()]
     assert len(completed) == len(set(completed)) == 4
+
+
+def test_get_batch_drains_the_clients_cq():
+    """Every completion a batch produces is taken off the client's CQ,
+    hits and misses alike, so the queue does not grow with the run."""
+    world = build_kv_world()
+
+    def scenario():
+        yield from deploy_cache(world)
+        yield from world.proxy.Put("alpha", "a")
+        return (yield from world.client.get_batch(["alpha", "beta"]))
+
+    got = world.sim.run_until_event(world.sim.spawn(scenario()))
+    assert got == {"alpha": "a", "beta": None}
+    assert world.client.one_sided_hits == 1
+    assert world.client.fallback_gets == 1
+    assert len(world.client.qp.cq) == 0

@@ -4,7 +4,7 @@ The timer-wheel queue replaced the binary heap as a pure *mechanical*
 change: both implementations must pop in the identical ``(time,
 priority, seq)`` order, so every seeded run computes byte-identical
 results whichever queue is underneath.  These tests pin that property
-three ways:
+on:
 
 * the TiVoPC pipeline, diffing the telemetry hub's whole span tree and
   instants, field for field;
@@ -17,7 +17,10 @@ three ways:
 * random traces of sleeps, timeouts, one-shot and periodic timers,
   cancellations, interrupts, resource holds, store puts/gets, fences
   and reclaim sweeps, with delays on every wheel boundary, diffing
-  every step's time and the engine's counters.
+  every step's time and the engine's counters;
+* cascades of a level-1 slot holding one entry fewer than the refill
+  batch, exactly the batch and one more, with cancels in the slot and
+  in the window, diffing the trace and pinning the wheel's books.
 """
 
 import random
@@ -290,3 +293,137 @@ def test_random_traces_identical_on_heap_and_wheel(actors):
     # The wheel takes a cancelled timer out of its slot in place; the
     # heap drops it when it pops, which counts as a processed event.
     assert wheel_events <= heap_events
+
+
+# -- L1 cascades around the refill batch size ------------------------------------
+
+# One L1 slot spans the whole L0 wheel (65,536 ns).  Everything a run
+# schedules from t=0 into [_CASCADE_AT, 2 * _CASCADE_AT) therefore waits
+# in L1 slot 1, and the refill that follows the first window cascades it
+# while L0 is empty.  A slot holding fewer entries than the refill batch
+# (32) becomes the active window directly; 32 or more are spread over L0
+# and gathered back a batch at a time.
+_CASCADE_AT = 1 << 16
+
+
+def _cascade_run(scheduler, held):
+    """Cascade an L1 slot that holds ``held`` entries (one more is
+    cancelled in the slot first); returns the heap-comparable trace and
+    the wheel's own books."""
+    sim = Simulator(scheduler=scheduler)
+    log, dead = [], []
+    slot_timers = []
+
+    def offset(k):
+        # Spread over L0 slots, out of time order, with some ties.
+        return (k * 2053) % 8192 if k % 5 else 4096
+
+    def fire(tag):
+        def fn():
+            log.append((sim.now, "fire", tag))
+        return fn
+
+    def sleeper(k, carry):
+        if carry:
+            got = yield sim.clock.after(_CASCADE_AT + offset(k), value=k)
+        else:
+            got = yield sim.clock.after(_CASCADE_AT + offset(k))
+        log.append((sim.now, "woke", k, got))
+        if k == timers:
+            # Inside the window: cancel a timer from the slot, then one
+            # set now past the slot's last entry but inside L0's span,
+            # which only the sparse window covers.
+            log.append((sim.now, "cancel", slot_timers[-1].cancel()))
+            dead.append(sim.dead_timers)
+            fresh = sim.clock.after(20_000, fire("fresh"))
+            log.append((sim.now, "cancel", fresh.cancel()))
+            dead.append(sim.dead_timers)
+        # Near sleeps: in the window, or in L0 past a narrow one.
+        got = yield sim.clock.after(100 + 300 * (k % 3), value=("near", k))
+        log.append((sim.now, "near", got))
+        # Value-carrying and plain sleeps beyond L0, into L1 ...
+        got = yield sim.clock.after(100_000 + k, value=("l1", k))
+        log.append((sim.now, "l1", got))
+        yield sim.clock.after(70_000 + 3 * k)
+        log.append((sim.now, "l1-plain", k))
+        # ... and beyond L1, into the overflow heap.
+        got = yield sim.clock.after((1 << 25) + k, value=("far", k))
+        log.append((sim.now, "far", got))
+        yield sim.clock.after((1 << 24) + 7 * k)
+        log.append((sim.now, "far-plain", k))
+
+    timers = held // 3
+    for k in range(held):
+        if k < timers - 1:
+            slot_timers.append(
+                sim.clock.after(_CASCADE_AT + offset(k), fire(k)))
+        elif k == timers - 1:
+            # The in-window cancel's target, last in the slot.
+            slot_timers.append(
+                sim.clock.after(_CASCADE_AT + 9000, fire("late")))
+        else:
+            sim.spawn(sleeper(k, carry=k % 2 == 0))
+    doomed = sim.clock.after(_CASCADE_AT + 5000, fire("doomed"))
+
+    def canceller():
+        yield sim.clock.after(1000)
+        log.append((sim.now, "cancel", doomed.cancel()))
+        dead.append(sim.dead_timers)
+        if scheduler == "wheel":
+            # The premise: the slot holds ``held`` entries, L0 none.
+            assert len(sim._l1[1]) == held
+            assert not any(sim._l0_occ)
+
+    sim.spawn(canceller())
+    sim.run(until=1 << 26)
+    dead.append(sim.dead_timers)
+    return ((log, sim.now, sim.fused_resumes),
+            (sim.events_processed, tuple(dead)))
+
+
+# events_processed and the dead-timer gauge on the wheel (after the
+# cancel in the L1 slot, after each cancel in the window, at the end),
+# as the refill that scattered every cascaded slot over L0 gave them.
+_CASCADE_BOOKS = {31: (182, (0, 1, 2, 0)),
+                  32: (189, (0, 1, 1, 0)),
+                  33: (189, (0, 0, 0, 0))}
+
+
+def test_l1_cascades_around_the_batch_size_match_the_heap():
+    for held, books in _CASCADE_BOOKS.items():
+        wheel, wheel_books = _cascade_run("wheel", held)
+        heap, heap_books = _cascade_run("heap", held)
+        assert wheel == heap, f"{held} entries diverged"
+        assert wheel_books == books, (held, wheel_books)
+        # The heap pops every cancelled timer dead; the wheel takes
+        # those still in a slot out in place.
+        assert wheel_books[0] < heap_books[0]
+
+
+def _slotted_sleeps_run(scheduler, carry):
+    """32 processes start in one L0 slot, so the first window ends with
+    it; each then sleeps from the run loop into L0 slot 10, where 32
+    timers wait 200 ns later in the same slot."""
+    sim = Simulator(scheduler=scheduler)
+    log = []
+
+    def sleeper(k):
+        if carry:
+            got = yield sim.clock.after(2600, value=k)
+        else:
+            got = yield sim.clock.after(2600)
+        log.append((sim.now, "woke", k, got))
+
+    for k in range(32):
+        sim.spawn(sleeper(k))
+    for k in range(32):
+        sim.clock.after(2800, lambda k=k: log.append((sim.now, "fire", k)))
+    sim.run()
+    return log, sim.events_processed
+
+
+def test_run_loop_sleeps_land_in_their_l0_slot():
+    for carry in (False, True):
+        # A sleep filed one slot late would pop after the timers.
+        assert (_slotted_sleeps_run("wheel", carry)
+                == _slotted_sleeps_run("heap", carry))
