@@ -21,7 +21,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.errors import DeploymentError
 from repro.core.channel import ChannelConfig
@@ -70,26 +70,19 @@ class DeploymentPipeline:
     def __init__(self, runtime) -> None:
         self.runtime = runtime
 
-    def deploy(self, odf_path: str,
+    def deploy(self, odf_paths: Sequence[str],
                objective: Optional[Objective] = None
                ) -> Generator[Event, None, DeploymentReport]:
-        """Run Figure 5 for one ODF and its import closure."""
-        documents = self.runtime.library.load_closure(odf_path)
-        return (yield from self._deploy(documents,
-                                        roots=[documents[0].bindname],
-                                        objective=objective))
-
-    def deploy_many(self, odf_paths: List[str],
-                    objective: Optional[Objective] = None
-                    ) -> Generator[Event, None, DeploymentReport]:
-        """Deploy several applications under ONE joint layout solve.
+        """Run Figure 5 for the ODFs' import closures under ONE layout
+        solve.
 
         Section 5's motivation: "in multi-user environments, reusing the
         same Offcode in several applications may substantially
         complicate the offloading layout design."  Deploying apps one at
         a time pins shared Offcodes wherever the first app put them;
         solving the union closure jointly lets the ILP satisfy every
-        app's constraints at once.
+        app's constraints at once.  With one path the union is just that
+        path's closure.
         """
         documents: List[OdfDocument] = []
         roots: List[str] = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Generator, Iterable, List, Optional,
-                    Set, Tuple)
+                    Set, Tuple, Union)
 
 from repro.errors import (DeploymentError, HydraError, MigrationError,
                           OffcodeError)
@@ -109,7 +109,9 @@ class RecoveryIncident:
     complete.  ``restored`` lists victims whose last checkpoint was
     restored into the replacement instance; ``replayed`` counts unacked
     channel messages re-sent on replacement channels; ``hook_errors``
-    collects recovery-hook exceptions (non-fatal, but visible).
+    holds the ``repr`` of each failed recovery hook or checkpoint
+    restore (non-fatal, but visible), strings as on
+    :class:`~repro.resilience.migration.MigrationRecord`.
     """
 
     device: str
@@ -140,6 +142,10 @@ class RecoveryIncident:
         if self.recovered_at_ns is None:
             return None
         return self.recovered_at_ns - self.died_at_ns
+
+
+# What the shared teardown/rewire halves record into.
+Relocation = Union[RecoveryIncident, MigrationRecord]
 
 
 @dataclass(frozen=True)
@@ -453,12 +459,8 @@ class HydraRuntime:
         to the first root and returns a transparent proxy over the
         requested interface.
         """
-        if len(spec.odf_paths) == 1:
-            report = yield from self.pipeline.deploy(
-                spec.odf_paths[0], objective=spec.objective)
-        else:
-            report = yield from self.pipeline.deploy_many(
-                list(spec.odf_paths), objective=spec.objective)
+        report = yield from self.pipeline.deploy(spec.odf_paths,
+                                                 objective=spec.objective)
         offcode = report.root_offcode
         result = DeploymentResult(report=report, offcode=offcode)
         if not spec.proxy:
@@ -472,11 +474,20 @@ class HydraRuntime:
             iface = document.interfaces[0]
         else:
             iface = document.interface(spec.interface)
-        config = spec.proxy_config or ChannelConfig.unicast()
+        channel = self._proxy_channel(
+            spec.proxy_config or ChannelConfig.unicast(), offcode)
+        result.channel = channel
+        result.proxy = Proxy(iface, channel, channel.creator_endpoint)
+        self._proxies.setdefault(offcode.bindname, []).append(result.proxy)
+        return result
+
+    def _proxy_channel(self, config: ChannelConfig, offcode: Offcode
+                       ) -> Channel:
+        """A host-side channel to ``offcode`` for a proxy, tracked in the
+        Offcode's resource subtree (deploy and migration's rebind)."""
         channel = self.executive.create_channel(
             config.with_target(offcode.location), self.host_site)
         self.executive.connect_offcode(channel, offcode)
-        # The proxy channel belongs to the Offcode's resource subtree.
         try:
             node = self.resources.lookup(offcode.bindname)
             self.resources.track(
@@ -484,10 +495,7 @@ class HydraRuntime:
                 kind="channel", parent=node, finalizer=channel.close)
         except HydraError:
             pass   # pseudo/reused offcodes may not be tracked
-        result.channel = channel
-        result.proxy = Proxy(iface, channel, channel.creator_endpoint)
-        self._proxies.setdefault(offcode.bindname, []).append(result.proxy)
-        return result
+        return channel
 
     def create_channel(self, config: ChannelConfig) -> Channel:
         """``CreateChannel`` (Figure 3, step 1): creator endpoint on the
@@ -651,34 +659,19 @@ class HydraRuntime:
                    f"{len(victims)} victim offcode(s)",
                    device=name, victims=tuple(victims))
 
-        # Capture the ODF closures *before* fail_offcode forgets them.
-        documents: Dict[str, OdfDocument] = {}
-        for bindname in victims:
-            self._closure_documents(bindname, documents)
-
-        # Capture unacked messages *before* the channels close: a
-        # noise-armed reliable channel severed mid-exchange still holds
-        # the frames the wire never acknowledged.
+        # Channels with an endpoint on the dead device die with it.
         dead_site = device_runtime.site
-        pending = self._capture_unacked(dead_site)
-
-        for bindname in victims:
-            incident.reports.append(self.fail_offcode(bindname))
-
-        # Channels with an endpoint on the dead device are gone with it.
-        for channel in self.executive.channels:
-            if not channel.closed and any(
-                    endpoint.site is dead_site
-                    for endpoint in channel.endpoints):
-                channel.close()
-
+        dying = [channel for channel in self.executive.channels
+                 if not channel.closed and any(
+                     endpoint.site is dead_site
+                     for endpoint in channel.endpoints)]
+        documents, pending = self._evict(incident, victims, dying)
         device_runtime.device.fence()
 
         if victims:
             try:
                 report = yield from self.pipeline._deploy(
-                    list(documents.values()), roots=list(victims),
-                    objective=None)
+                    documents, roots=list(victims), objective=None)
             except Exception as exc:
                 incident.error = repr(exc)
                 incident.failed_at_ns = self.sim.now
@@ -690,15 +683,7 @@ class HydraRuntime:
                 bindname: report.location_of(bindname)
                 for bindname in report.offcodes}
             self._restore_checkpoints(incident)
-            for hook in self._recovery_hooks:
-                try:
-                    yield from hook(name, incident)
-                except Exception as exc:
-                    incident.hook_errors.append(repr(exc))
-                    trace_emit(self.sim, "fault",
-                               f"recovery hook failed after {name}: "
-                               f"{exc!r}", device=name)
-            yield from self._replay_unacked(incident, pending)
+            yield from self._rewire(name, incident, pending)
 
         incident.recovered_at_ns = self.sim.now
         trace_emit(self.sim, "fault",
@@ -708,28 +693,36 @@ class HydraRuntime:
                    restored=tuple(incident.restored),
                    replayed=incident.replayed)
 
-    def _capture_unacked(self, dead_site: ExecutionSite) -> List[Tuple]:
-        """Unacked ``(writer_bindname, label, messages)`` per dying channel.
+    def _evict(self, record: Relocation, victims: List[str],
+               channels: List[Channel]
+               ) -> Tuple[List[OdfDocument], List[Tuple]]:
+        """The teardown half that recovery and migration share.
 
-        The writer is the channel's owning (creator-bound) Offcode; a
-        channel owned by the host application (proxy channels) has no
-        replacement writer to replay from and is skipped.
+        Captures the victims' ODF closures and each open channel's
+        unacked ``(writer_bindname, label, messages)`` before they are
+        gone, then fails every victim (``record.reports``) and closes
+        the channels.  The writer is the channel's creator-bound
+        Offcode, victim or survivor; host-owned channels (proxies, OOB)
+        have none to replay from and are skipped.
         """
+        documents: Dict[str, OdfDocument] = {}
+        for bindname in victims:
+            self._closure_documents(bindname, documents)
         pending: List[Tuple] = []
-        for channel in self.executive.channels:
-            if channel.closed or not any(
-                    endpoint.site is dead_site
-                    for endpoint in channel.endpoints):
+        for channel in channels:
+            writer = channel.creator_endpoint.bound_offcode
+            if channel.closed or writer is None:
                 continue
             messages = channel.unacked_messages()
-            if not messages:
-                continue
-            writer = channel.creator_endpoint.bound_offcode
-            if writer is None:
-                continue
-            pending.append((writer.bindname, channel.config.label,
-                            messages))
-        return pending
+            if messages:
+                pending.append((writer.bindname, channel.config.label,
+                                messages))
+        record.reports.extend(self.fail_offcode(bindname)
+                              for bindname in victims)
+        for channel in channels:
+            if not channel.closed:
+                channel.close()
+        return list(documents.values()), pending
 
     def _restore_checkpoints(self, incident: RecoveryIncident) -> None:
         """Adopt each victim's last shipped checkpoint on its replacement."""
@@ -757,32 +750,44 @@ class HydraRuntime:
                        f"(taken {self.sim.now - checkpoint.taken_at_ns} ns "
                        "ago)", offcode=bindname, seq=checkpoint.seq)
 
-    def _replay_unacked(self, incident: RecoveryIncident,
-                        pending: List[Tuple]
+    def _rewire(self, device: str, record: Relocation,
+                pending: List[Tuple]) -> Generator[Event, None, None]:
+        """The rewire half that recovery and migration share: run every
+        recovery hook (a failure is recorded and traced, never raised),
+        then replay the captured unacked messages."""
+        for hook in self._recovery_hooks:
+            try:
+                yield from hook(device, record)
+            except Exception as exc:
+                record.hook_errors.append(repr(exc))
+                trace_emit(self.sim, "fault",
+                           f"recovery hook failed after {device}: "
+                           f"{exc!r}", device=device)
+        yield from self._replay_unacked(record, pending)
+
+    def _replay_unacked(self, record: Relocation, pending: List[Tuple]
                         ) -> Generator[Event, None, None]:
         """Re-send captured unacked messages on replacement channels.
 
         Runs after the recovery hooks so the replacement channels exist.
         Each message goes to every open, connected, same-label channel
-        the relocated writer now holds; individual send failures are
-        traced and skipped (the stream itself will retransmit at the
-        application layer if it cares more).
+        its writer (relocated or surviving) now holds; individual send
+        failures are traced and skipped (the stream itself will
+        retransmit at the application layer if it cares more).
         """
         for writer_bindname, label, messages in pending:
             writer = self.locate(writer_bindname)
             if writer is None:
                 continue
-            channels = [ch for ch in getattr(writer, "channels", [])
+            channels = [ch for ch in writer.channels
                         if not ch.closed and ch.connected
                         and ch.config.label == label]
-            if not channels:
-                continue
             for payload, size_bytes in messages:
                 for channel in channels:
                     try:
                         endpoint = channel.endpoint_of(writer)
                         yield from endpoint.write(payload, size_bytes)
-                        incident.replayed += 1
+                        record.replayed += 1
                     except Exception as exc:
                         trace_emit(self.sim, "fault",
                                    f"replay on {label!r} for "
@@ -943,29 +948,14 @@ class HydraRuntime:
         state = yield from capture_checkpoint(self, victim)
         done(child)
 
-        # 4. Capture leftovers the victim sent but never saw acked, the
-        # ODF closure, and the firmware port claim — then tear down.
-        victim_channels = [ch for ch in getattr(victim, "channels", ())]
-        pending: List[Tuple] = []
-        for channel in victim_channels:
-            if channel.closed:
-                continue
-            messages = channel.unacked_messages()
-            if not messages:
-                continue
-            writer = channel.creator_endpoint.bound_offcode
-            if writer is not victim:
-                continue
-            pending.append((bindname, channel.config.label, messages))
-        documents: Dict[str, OdfDocument] = {}
-        self._closure_documents(bindname, documents)
+        # 4. Tear down: the shared eviction half captures the ODF closure
+        # and every writer's unacked frames; the firmware port claim is
+        # captured here for the handover in step 6.
         old_mux = getattr(victim, "port_mux", None)
         old_port = getattr(victim, "listen_port", None)
         child = step("teardown")
-        record.reports = [self.fail_offcode(bindname)]
-        for channel in victim_channels:
-            if not channel.closed:
-                channel.close()
+        documents, pending = self._evict(record, [bindname],
+                                         list(victim.channels))
         done(child)
 
         # 5. Online re-solve: survivors pinned, the victim either pinned
@@ -976,7 +966,7 @@ class HydraRuntime:
         pinned_extra = {bindname: target} if target is not None else None
         banned = {bindname: (source,)} if target is None else None
         report = yield from self.pipeline._deploy(
-            list(documents.values()), roots=[bindname], objective=None,
+            documents, roots=[bindname], objective=None,
             pinned_extra=pinned_extra, allow=allow, banned=banned)
         record.placement = {name: report.location_of(name)
                             for name in report.offcodes}
@@ -998,17 +988,10 @@ class HydraRuntime:
                     release(old_port)
         done(child)
         child = step("rewire")
-        for hook in self._recovery_hooks:
-            try:
-                yield from hook(source, record)
-            except Exception as exc:
-                record.hook_errors.append(exc)
-                trace_emit(self.sim, "fault",
-                           f"migration rewire hook failed for "
-                           f"{bindname}: {exc!r}", offcode=bindname)
-        yield from self._replay_unacked(record, pending)
+        yield from self._rewire(source, record, pending)
         for proxy in proxies:
-            self._rebind_proxy(proxy, replacement)
+            proxy.rebind(self._proxy_channel(proxy.channel.config,
+                                             replacement))
         record.restored_at_ns = self.sim.now
         done(child)
 
@@ -1053,24 +1036,10 @@ class HydraRuntime:
             if result is not None:
                 yield from result
         except Exception as exc:
-            record.hook_errors.append(exc)
+            record.hook_errors.append(repr(exc))
             trace_emit(self.sim, "fault",
                        f"prepare_migrate of {victim.bindname} failed: "
                        f"{exc!r}", offcode=victim.bindname)
-
-    def _rebind_proxy(self, proxy: Proxy, offcode: Offcode) -> None:
-        """Point an existing Proxy at a freshly-connected channel."""
-        config = proxy.channel.config.with_target(offcode.location)
-        channel = self.executive.create_channel(config, self.host_site)
-        self.executive.connect_offcode(channel, offcode)
-        try:
-            node = self.resources.lookup(offcode.bindname)
-            self.resources.track(
-                f"{offcode.bindname}/proxy-{channel.channel_id}",
-                kind="channel", parent=node, finalizer=channel.close)
-        except HydraError:
-            pass
-        proxy.rebind(channel)
 
     def document_of(self, bindname: str) -> OdfDocument:
         """The ODF a deployed Offcode came from."""

@@ -7,7 +7,7 @@ GPU, smart disk) and a power model.
 """
 
 from repro.hw.bus import HOST_MEMORY, Bus, BusSpec
-from repro.hw.cache import Cache, CacheConfig, CacheStats, SampledCacheMonitor
+from repro.hw.cache import Cache, CacheConfig, CacheStats
 from repro.hw.cpu import Cpu, CpuSampler, CpuSpec
 from repro.hw.device import (
     DeviceClass,
@@ -54,7 +54,6 @@ __all__ = [
     "PowerModel",
     "ProgrammableDevice",
     "SPIN_FEATURE",
-    "SampledCacheMonitor",
     "SmartDisk",
     "SpinHandlers",
     "SpinNic",

@@ -579,33 +579,3 @@ class Cache:
             d.update(dict.fromkeys(self._sentinels, False))
         self._stats.writebacks += dirty
         return dirty
-
-
-class SampledCacheMonitor:
-    """Periodic miss-rate sampler, mirroring the paper's methodology.
-
-    The paper samples the kernel L2 miss rate every 5 seconds during a
-    10-minute run and normalizes to the idle system's rate.  This helper
-    captures ``(time_ns, CacheStats-delta)`` windows.
-    """
-
-    def __init__(self, cache: Cache) -> None:
-        self.cache = cache
-        self.samples: List[Tuple[int, CacheStats]] = []
-        self._last = cache.stats.snapshot()
-
-    def sample(self, now_ns: int) -> CacheStats:
-        """Record the window since the previous sample."""
-        current = self.cache.stats.snapshot()
-        window = current.delta(self._last)
-        self._last = current
-        self.samples.append((now_ns, window))
-        return window
-
-    def miss_rates(self) -> List[float]:
-        """Per-window miss rates (windows with accesses only)."""
-        return [s.miss_rate for _, s in self.samples if s.accesses]
-
-
-# Re-exported here because monitors belong conceptually with the cache.
-__all__.append("SampledCacheMonitor")

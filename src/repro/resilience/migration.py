@@ -30,9 +30,13 @@ __all__ = ["MigrationRecord", "HoldingGate"]
 class MigrationRecord:
     """One live migration, from request to completion (or failure).
 
-    Mirrors :class:`~repro.core.runtime.RecoveryIncident` closely enough
-    that recovery hooks written against incidents (``device`` +
-    ``victims`` attributes) run unchanged during a migration rewire.
+    Crash recovery and migration share their teardown and rewire halves
+    (``HydraRuntime._evict``/``_rewire``), which write into either
+    record through the fields both carry: ``reports``, ``replayed`` and
+    ``hook_errors`` — the ``repr`` of every failed recovery or
+    ``prepare_migrate`` hook, strings on both records.  The ``device``
+    and ``victims`` properties let recovery hooks written against
+    :class:`~repro.core.runtime.RecoveryIncident` run unchanged.
     """
 
     bindname: str
@@ -50,7 +54,7 @@ class MigrationRecord:
     replayed: int = 0           # unacked RELIABLE messages re-sent post-cutover
     shed: int = 0               # proxy calls shed by the holding gate
     held_peak: int = 0          # peak calls parked in the holding gate
-    hook_errors: List[BaseException] = field(default_factory=list)
+    hook_errors: List[str] = field(default_factory=list)
     placement: Dict[str, str] = field(default_factory=dict)
     reports: List[Any] = field(default_factory=list)  # teardown CleanupReports
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import HardwareError
 from repro.hw import cache as cache_module
-from repro.hw.cache import Cache, CacheConfig, SampledCacheMonitor
+from repro.hw.cache import Cache, CacheConfig
 
 
 def small_cache():
@@ -144,18 +144,6 @@ def test_stats_delta_and_snapshot():
     assert delta.misses == 0
     assert delta.hits == 8
     assert delta.miss_rate == 0.0
-
-
-def test_sampled_monitor_windows():
-    cache = small_cache()
-    monitor = SampledCacheMonitor(cache)
-    cache.access_range(0, 256)           # 4 misses
-    w1 = monitor.sample(now_ns=5)
-    cache.access_range(0, 256)           # 4 hits
-    w2 = monitor.sample(now_ns=10)
-    assert w1.misses == 4 and w1.hits == 0
-    assert w2.misses == 0 and w2.hits == 4
-    assert monitor.miss_rates() == [1.0, 0.0]
 
 
 # -- property-based -----------------------------------------------------------

@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from repro.errors import AdmissionShedError, MigrationError
+from repro.errors import (AdmissionShedError, ChannelClosedError,
+                          MigrationError)
 from repro.core import (
     ChannelConfig,
     DeploymentSpec,
@@ -196,6 +197,74 @@ def test_channel_conservation_holds_across_migration(world):
     # every channel the rewire created.
     assert check_channel_conservation(runtime.executive) == []
     assert runtime.get_offcode("res.Worker").pokes == 20
+
+
+class FeederOffcode(Offcode):
+    BINDNAME = "res.Feeder"
+    INTERFACES = ()
+
+
+FEEDER_GUID = Guid(9102)
+
+
+def test_timed_out_drain_replays_a_survivors_frames(world):
+    # The feeder survives the migration; its reliable channel to the
+    # victim holds frames the medium ate, so the drain times out.  The
+    # cutover must then replay them to the replacement the way crash
+    # recovery would, not drop them with the channel.
+    sim, machine, runtime = world
+    deploy(sim, runtime)
+    runtime.library.register("/feeder.odf", OdfDocument(
+        bindname="res.Feeder", guid=FEEDER_GUID,
+        targets=[DeviceClassFilter(DeviceClass.HOST)]))
+    runtime.depot.register(FEEDER_GUID, FeederOffcode,
+                           device_class=DeviceClass.HOST)
+    run_proc(sim, runtime.deploy(DeploymentSpec(
+        odf_paths=("/feeder.odf",), proxy=False)))
+    feeder = runtime.get_offcode("res.Feeder")
+    assert feeder.location == "host"
+    config = ChannelConfig.unicast().reliable().labeled("feed")
+    channel = runtime.executive.create_channel_for_offcode(config, feeder)
+    runtime.executive.connect_offcode(channel,
+                                      runtime.get_offcode("res.Worker"))
+    channel.retransmit_config = RetransmitConfig(timeout_ns=50_000,
+                                                 max_attempts=1000)
+    channel.set_fault_filter(lambda message: "drop")
+
+    def send():
+        try:
+            yield from channel.creator_endpoint.write("frame", 64)
+        except ChannelClosedError:
+            pass   # the cutover closes the channel under the retransmit
+
+    sim.spawn(send())
+    sim.run(until=sim.now + 1_000_000)
+    assert channel.unacked_messages() == [("frame", 64)]
+
+    got = []
+
+    def rewire(device, record):
+        replacement = runtime.get_offcode("res.Worker")
+        fresh = runtime.executive.create_channel_for_offcode(
+            ChannelConfig.unicast().labeled("feed"), feeder)
+        endpoint = runtime.executive.connect_offcode(fresh, replacement)
+
+        def reader():
+            while True:
+                message = yield from endpoint.read()
+                got.append(message.payload)
+
+        sim.spawn(reader())
+        yield from ()
+
+    runtime.add_recovery_hook(rewire)
+    record = run_proc(sim, runtime.migrate(
+        "res.Worker", target="nic1", drain_timeout_ns=1_000_000))
+    sim.run(until=sim.now + 1_000_000)
+    assert record.completed and not record.drained
+    assert record.replayed == 1
+    assert got == ["frame"]
+    assert record.hook_errors == []
 
 
 # -- watchdog flap transitions -------------------------------------------------------
