@@ -457,58 +457,46 @@ class Endpoint:
         call = message.payload
         tel = self.site.sim.telemetry
         original = call.return_descriptor
-        if original is None:
-            if tel is None:
-                yield from self.bound_offcode.dispatch(call)
-                return
-            span = tel.begin(f"execute.{call.method}", "device",
-                             f"site:{self.site.name}",
-                             parent=call.trace_ctx or tel.current_ctx(),
-                             method=call.method)
-            token = tel.push_ctx(span.context)
-            try:
-                yield from self.bound_offcode.dispatch(call)
-            finally:
-                tel.pop_ctx(token)
-                tel.end(span)
-            return
-        local = ReturnDescriptor(self.site.sim)
-        call.return_descriptor = local
-        span = token = None
+        local = None
+        if original is not None:
+            local = call.return_descriptor = ReturnDescriptor(self.site.sim)
+        span = None
         if tel is not None:
-            span = tel.begin(f"execute.{call.method}", "device",
+            span = tel.enter(f"execute.{call.method}", "device",
                              f"site:{self.site.name}",
                              parent=call.trace_ctx or tel.current_ctx(),
                              method=call.method)
-            token = tel.push_ctx(span.context)
         try:
             yield from self.bound_offcode.dispatch(call)
-            if not local.event.triggered:
+            if local is not None and not local.event.triggered:
                 raise ChannelError(
                     f"dispatch of {call.method} returned without delivering "
                     "a result")
         finally:
             if span is not None:
-                tel.pop_ctx(token)
-                tel.end(span, ok=local.event.triggered and local.event.ok)
+                if local is None:
+                    tel.end(span)
+                else:
+                    tel.end(span,
+                            ok=local.event.triggered and local.event.ok)
+        if local is None:
+            return
         # Reverse transfer: result header + encoded payload.
         source_endpoint = self.channel._first_at_site.get(message.source)
         if source_endpoint is not None and source_endpoint is not self:
             reply_size = 24 + (len(local.event._value)
                                if local.event.ok else 32)
-            reply = rtoken = None
+            reply = None
             if tel is not None:
-                reply = tel.begin("reply", "reply",
+                reply = tel.enter("reply", "reply",
                                   self.channel.telemetry_track,
                                   parent=call.trace_ctx or span,
                                   bytes=reply_size)
-                rtoken = tel.push_ctx(reply.context)
             try:
                 yield from self.channel.provider.transfer(
                     self.channel, self, [source_endpoint], reply_size)
             finally:
                 if reply is not None:
-                    tel.pop_ctx(rtoken)
                     tel.end(reply)
         call.return_descriptor = original
         if local.event.ok:
@@ -711,14 +699,13 @@ class Channel:
             return
         sim = source.site.sim
         tel = sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
-            span = tel.begin("channel.write", "channel",
+            span = tel.enter("channel.write", "channel",
                              self.telemetry_track,
                              parent=(getattr(payload, "trace_ctx", None)
                                      or tel.current_ctx()),
                              bytes=size_bytes)
-            token = tel.push_ctx(span.context)
         try:
             destinations = [e for e in self.endpoints if e is not source]
             message = Message(payload=payload, size_bytes=size_bytes,
@@ -742,7 +729,6 @@ class Channel:
             yield from self._land(sim, message, destinations)
         finally:
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span)
 
     def _land(self, sim, message: Message, destinations: List[Endpoint]
@@ -875,20 +861,18 @@ class Channel:
         """
         sim = source.site.sim
         tel = sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
-            span = tel.begin("channel.exchange", "channel",
+            span = tel.enter("channel.exchange", "channel",
                              self.telemetry_track,
                              parent=(getattr(message.payload, "trace_ctx",
                                              None) or tel.current_ctx()),
                              seq=message.seq, bytes=message.size_bytes)
-            token = tel.push_ctx(span.context)
         try:
             yield from self._exchange_attempts(source, destinations, message,
                                                transfer_first, sim)
         finally:
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span)
 
     def _exchange_attempts(self, source: Endpoint,
@@ -1013,14 +997,13 @@ class Channel:
         reliable = self._rel is not None and self._fault_filter is not None
         sim = source.site.sim
         tel = sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
             extra = {"reliable": True} if reliable else {}
-            span = tel.begin("channel.batch", "channel",
+            span = tel.enter("channel.batch", "channel",
                              self.telemetry_track,
                              parent=tel.current_ctx(), count=batch.count,
                              bytes=batch.size_bytes, **extra)
-            token = tel.push_ctx(span.context)
         try:
             if self._sequencer is not None:
                 yield self._sequencer.request()
@@ -1058,7 +1041,6 @@ class Channel:
                         destinations)
         finally:
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span)
 
     # -- call convenience ------------------------------------------------------------------

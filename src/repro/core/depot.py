@@ -15,7 +15,7 @@ an exact device-class build wins over a portable (class-agnostic) one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Type, Union
 
 from repro.errors import DepotError
 from repro.core.checkpoint import CheckpointStore
@@ -107,7 +107,3 @@ class OffcodeDepot:
             return True
         except DepotError:
             return False
-
-    def guids(self) -> Tuple[Guid, ...]:
-        """All GUIDs with at least one registered implementation."""
-        return tuple(self._entries)

@@ -57,8 +57,3 @@ class DeviceRuntime:
     def find(self, bindname: str) -> Optional[Offcode]:
         """Resident Offcode by bind name, or None."""
         return self.offcodes.get(bindname)
-
-    @property
-    def resident_count(self) -> int:
-        """Number of Offcodes currently hosted on this device."""
-        return len(self.offcodes)

@@ -214,12 +214,11 @@ class ChannelBatcher:
         source = self._sources[key]
         self._counts[f"flushed_on_{cause}"].inc()
         tel = self.sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
-            span = tel.begin("batch.flush", "batch",
+            span = tel.enter("batch.flush", "batch",
                              self.channel.telemetry_track, cause=cause,
                              count=batch.count, bytes=batch.payload_bytes)
-            token = tel.push_ctx(span.context)
         try:
             attempt = 1
             while True:
@@ -246,7 +245,6 @@ class ChannelBatcher:
                     attempt += 1
         finally:
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span)
 
     def flush_all(self) -> Generator[Event, None, None]:

@@ -123,10 +123,6 @@ class LayoutGraph:
         except ValueError:
             raise LayoutError(f"no device {device!r} in layout") from None
 
-    def edges_of_kind(self, kind: ConstraintType) -> List[Constraint]:
-        """All constraint edges of one kind."""
-        return [c for c in self.constraints if c.kind == kind]
-
     def without_constraints_below(self, priority: int) -> "LayoutGraph":
         """Copy of the graph keeping only edges with pri < ``priority``.
 

@@ -49,11 +49,6 @@ class ResolvedLayout:
         except KeyError:
             raise LayoutError(f"{bindname!r} is not in the layout") from None
 
-    def offloaded_count(self) -> int:
-        """How many Offcodes left the host."""
-        return sum(1 for device in self.placement.values()
-                   if device != "host")
-
 
 class OffloadLayoutResolver:
     """Builds and solves layout graphs for one machine."""

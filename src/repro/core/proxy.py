@@ -88,51 +88,17 @@ class Proxy:
                ) -> Generator[Event, None, Any]:
         """Build, send and (for two-way methods) await one invocation.
 
-        With a :class:`~repro.core.call.CallPolicy` installed, each
-        attempt is deadline-bounded and timed-out attempts are retried
-        with backoff; exhausting the budget raises
+        Without a policy this is one inline attempt.  With a
+        :class:`~repro.core.call.CallPolicy` installed, each attempt is
+        deadline-bounded and timed-out attempts are retried with
+        backoff; exhausting the budget raises
         :class:`~repro.errors.RetryBudgetExceededError` (a subclass of
         ``OffloadTimeoutError``) instead of hanging the caller.
         """
         if self.gate is not None:
             yield from self.gate.wait()
-        if self.policy is not None:
-            result = yield from self._invoke_with_policy(method_name, args)
-            return result
-        sim = self.endpoint.site.sim
-        call = make_call(sim, self.interface, method_name, args,
-                         encodes=self._encodes)
-        tel = sim.telemetry
-        root = None
-        if tel is not None:
-            root = tel.begin(f"{self.interface.name}.{method_name}",
-                             "proxy", f"site:{self.endpoint.site.name}",
-                             method=method_name, one_way=call.one_way)
-            call.trace_ctx = root.context
-        marshal_ns = _MARSHAL_FIXED_NS + round(
-            len(call.encoded_args) * _MARSHAL_NS_PER_BYTE)
-        try:
-            if tel is not None:
-                mspan = tel.begin("marshal", "marshal",
-                                  f"site:{self.endpoint.site.name}",
-                                  parent=root,
-                                  bytes=len(call.encoded_args))
-            yield from self.endpoint.site.execute(marshal_ns,
-                                                  context="proxy")
-            if tel is not None:
-                tel.end(mspan)
-            encoded = yield from self.channel.send_call(self.endpoint, call)
-        finally:
-            if tel is not None:
-                tel.end(root)
-        self.invocations += 1
-        if call.one_way:
-            return None
-        return self._decode(encoded)
-
-    def _invoke_with_policy(self, method_name: str, args: tuple
-                            ) -> Generator[Event, None, Any]:
-        sim = self.endpoint.site.sim
+        site = self.endpoint.site
+        sim = site.sim
         policy = self.policy
         # Arguments are marshaled exactly once, before the first attempt;
         # retried attempts need a fresh Call (return descriptors are
@@ -140,81 +106,78 @@ class Proxy:
         # retry pays only the fixed header cost, not the per-byte encode.
         call = make_call(sim, self.interface, method_name, args,
                          encodes=self._encodes)
+        marshal_ns = _MARSHAL_FIXED_NS + round(
+            len(call.encoded_args) * _MARSHAL_NS_PER_BYTE)
         tel = sim.telemetry
         root = None
         if tel is not None:
             root = tel.begin(f"{self.interface.name}.{method_name}",
-                             "proxy", f"site:{self.endpoint.site.name}",
+                             "proxy", f"site:{site.name}",
                              method=method_name, one_way=call.one_way,
-                             policy=True)
+                             **({} if policy is None else {"policy": True}))
             call.trace_ctx = root.context
+        attempts = 1 if policy is None else policy.max_attempts
         try:
-            result = yield from self._policy_attempts(
-                sim, policy, method_name, call, root)
-            return result
+            for attempt in range(1, attempts + 1):
+                if attempt > 1:
+                    yield sim.clock.timeout(policy.backoff_ns(attempt - 1))
+                    call = call.reissue(sim)
+                    marshal_ns = _MARSHAL_FIXED_NS
+                if tel is not None:
+                    mspan = tel.begin(
+                        "marshal", "marshal", f"site:{site.name}",
+                        parent=root, bytes=len(call.encoded_args),
+                        **({} if policy is None else {"attempt": attempt}))
+                yield from site.execute(marshal_ns, context="proxy")
+                if tel is not None:
+                    tel.end(mspan)
+                if policy is None:
+                    encoded = yield from self.channel.send_call(
+                        self.endpoint, call)
+                    break
+                outcome: dict = {}
+
+                def attempt_body(call: Call = call, outcome: dict = outcome
+                                 ) -> Generator[Event, None, None]:
+                    try:
+                        reply = yield from self.channel.send_call(
+                            self.endpoint, call)
+                        outcome["result"] = ("ok", reply)
+                    except Exception as exc:
+                        outcome["result"] = ("error", exc)
+
+                proc = sim.spawn(attempt_body(), name=(
+                    f"proxy-{self.interface.name}.{method_name}-a{attempt}"))
+                yield sim.any_of([proc, sim.clock.timeout(policy.deadline_ns)])
+                if "result" in outcome:
+                    status, encoded = outcome["result"]
+                    if status == "error":
+                        # Non-timeout failures (remote exception, dead
+                        # device, closed channel) are not retried — the
+                        # caller must react.
+                        raise encoded
+                    break
+                # Deadline expired.  The attempt process is deliberately
+                # left to finish (or never finish) on its own: interrupting
+                # it while it waits on the channel sequencer would leak the
+                # slot and wedge the channel for everyone else.  Its
+                # eventual result lands in an outcome dict nobody reads.
+                self.timeouts += 1
+                trace_emit(sim, "fault",
+                           f"proxy {self.interface.name}.{method_name} "
+                           f"attempt {attempt}/{attempts} missed deadline",
+                           interface=self.interface.name, method=method_name,
+                           attempt=attempt, deadline_ns=policy.deadline_ns)
+            else:
+                raise RetryBudgetExceededError(
+                    f"{self.interface.name}.{method_name}: all {attempts} "
+                    f"attempt(s) missed their {policy.deadline_ns} ns "
+                    "deadline", attempts=attempts)
         finally:
             if tel is not None:
                 tel.end(root)
-
-    def _policy_attempts(self, sim, policy: CallPolicy, method_name: str,
-                         call: Call, root
-                         ) -> Generator[Event, None, Any]:
-        tel = sim.telemetry
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                call = call.reissue(sim)
-                marshal_ns = _MARSHAL_FIXED_NS
-            else:
-                marshal_ns = _MARSHAL_FIXED_NS + round(
-                    len(call.encoded_args) * _MARSHAL_NS_PER_BYTE)
-            if tel is not None:
-                mspan = tel.begin("marshal", "marshal",
-                                  f"site:{self.endpoint.site.name}",
-                                  parent=root, attempt=attempt)
-            yield from self.endpoint.site.execute(marshal_ns, context="proxy")
-            if tel is not None:
-                tel.end(mspan)
-            outcome: dict = {}
-
-            def attempt_body(call: Call = call, outcome: dict = outcome
-                             ) -> Generator[Event, None, None]:
-                try:
-                    encoded = yield from self.channel.send_call(
-                        self.endpoint, call)
-                    outcome["result"] = ("ok", encoded)
-                except Exception as exc:
-                    outcome["result"] = ("error", exc)
-
-            proc = sim.spawn(
-                attempt_body(),
-                name=f"proxy-{self.interface.name}.{method_name}-a{attempt}")
-            yield sim.any_of([proc, sim.clock.timeout(policy.deadline_ns)])
-            if "result" in outcome:
-                status, value = outcome["result"]
-                if status == "ok":
-                    self.invocations += 1
-                    return None if call.one_way else self._decode(value)
-                # Non-timeout failures (remote exception, dead device,
-                # closed channel) are not retried — the caller must react.
-                raise value
-            # Deadline expired.  The attempt process is deliberately left
-            # to finish (or never finish) on its own: interrupting it
-            # while it waits on the channel sequencer would leak the slot
-            # and wedge the channel for everyone else.  Its eventual
-            # result lands in an outcome dict nobody reads.
-            self.timeouts += 1
-            trace_emit(sim, "fault",
-                       f"proxy {self.interface.name}.{method_name} attempt "
-                       f"{attempt}/{policy.max_attempts} missed deadline",
-                       interface=self.interface.name, method=method_name,
-                       attempt=attempt, deadline_ns=policy.deadline_ns)
-            if attempt < policy.max_attempts:
-                yield sim.clock.timeout(policy.backoff_ns(attempt))
-        raise RetryBudgetExceededError(
-            f"{self.interface.name}.{method_name}: all "
-            f"{policy.max_attempts} attempt(s) missed their "
-            f"{policy.deadline_ns} ns deadline",
-            attempts=policy.max_attempts)
+        self.invocations += 1
+        return None if call.one_way else self._decode(encoded)
 
     def send_raw(self, call: Call) -> Generator[Event, None, Any]:
         """Manual scheme: send a pre-built Call object."""

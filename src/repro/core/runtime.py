@@ -484,7 +484,7 @@ class HydraRuntime:
     def _proxy_channel(self, config: ChannelConfig, offcode: Offcode
                        ) -> Channel:
         """A host-side channel to ``offcode`` for a proxy, tracked in the
-        Offcode's resource subtree (deploy and migration's rebind)."""
+        Offcode's resource subtree (deploy and the relocation rebind)."""
         channel = self.executive.create_channel(
             config.with_target(offcode.location), self.host_site)
         self.executive.connect_offcode(channel, offcode)
@@ -611,12 +611,13 @@ class HydraRuntime:
         re-deploys the victims — the paper's host-based baseline.  The
         last shipped checkpoint (if any) is restored into each
         replacement instance, application recovery hooks rewire data
-        channels, and the captured unacked messages are replayed on the
+        channels, the captured unacked messages are replayed on the
         replacement channels (at-least-once across the recovery
         boundary: a message whose ack died with the wire may arrive
-        twice).  Only after all of that is the incident stamped
-        recovered; a re-deploy failure stamps ``failed_at_ns``/``error``
-        instead so partial recoveries are visible.
+        twice) and the victims' proxies are rebound.  Only after all of
+        that is the incident stamped recovered; a re-deploy failure
+        stamps ``failed_at_ns``/``error`` instead so partial recoveries
+        are visible.
 
         Overlapping incidents serialize on the recovery lock, but each
         marks its device failed *before* waiting so a concurrent solve
@@ -629,11 +630,10 @@ class HydraRuntime:
         incident = RecoveryIncident(device=name, died_at_ns=self.sim.now)
         self.incidents.append(incident)
         tel = self.sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
-            span = tel.begin(f"recover.{name}", "recovery",
+            span = tel.enter(f"recover.{name}", "recovery",
                              f"runtime:{self.machine.name}", device=name)
-            token = tel.push_ctx(span.context)
         try:
             yield self._recovery_lock.request()
             try:
@@ -643,7 +643,6 @@ class HydraRuntime:
                 self._recovery_lock.release()
         finally:
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span, recovered=incident.recovered,
                         victims=len(incident.victims),
                         replayed=incident.replayed)
@@ -754,7 +753,8 @@ class HydraRuntime:
                 pending: List[Tuple]) -> Generator[Event, None, None]:
         """The rewire half that recovery and migration share: run every
         recovery hook (a failure is recorded and traced, never raised),
-        then replay the captured unacked messages."""
+        replay the captured unacked messages, then rebind each victim's
+        proxies to a fresh channel to its replacement."""
         for hook in self._recovery_hooks:
             try:
                 yield from hook(device, record)
@@ -764,6 +764,10 @@ class HydraRuntime:
                            f"recovery hook failed after {device}: "
                            f"{exc!r}", device=device)
         yield from self._replay_unacked(record, pending)
+        for bindname in record.victims:
+            for proxy in self._proxies.get(bindname, ()):
+                proxy.rebind(self._proxy_channel(
+                    proxy.channel.config, self.get_offcode(bindname)))
 
     def _replay_unacked(self, record: Relocation, pending: List[Tuple]
                         ) -> Generator[Event, None, None]:
@@ -822,9 +826,9 @@ class HydraRuntime:
         5. **restore + rewire** — the snapshot is applied on the
            destination, recovery hooks rewire data channels, leftover
            unacked messages are replayed (at-least-once fallback — empty
-           whenever the drain in step 2 completed);
-        6. **release** — proxies are rebound to fresh channels and the
-           holding gate reopens.
+           whenever the drain in step 2 completed) and proxies are
+           rebound to fresh channels;
+        6. **release** — the holding gate reopens.
 
         Returns the :class:`~repro.resilience.migration.MigrationRecord`
         (also appended to :attr:`migrations` before the first side
@@ -858,13 +862,12 @@ class HydraRuntime:
                    f"(target: {target or 'auto'})",
                    offcode=bindname, source=source)
         tel = self.sim.telemetry
-        span = token = None
+        span = None
         if tel is not None:
-            span = tel.begin(f"migrate.{bindname}", "migrate",
+            span = tel.enter(f"migrate.{bindname}", "migrate",
                              f"runtime:{self.machine.name}",
                              offcode=bindname, source=source,
                              target=target or "auto")
-            token = tel.push_ctx(span.context)
         gate = HoldingGate(self.sim)
         proxies = list(self._proxies.get(bindname, ()))
         try:
@@ -903,7 +906,6 @@ class HydraRuntime:
             record.shed = gate.shed
             record.held_peak = gate.held_peak
             if span is not None:
-                tel.pop_ctx(token)
                 tel.end(span, completed=record.completed,
                         destination=record.destination or "",
                         downtime_ns=record.downtime_ns or 0,
@@ -922,7 +924,7 @@ class HydraRuntime:
         def step(name: str):
             if tel is None:
                 return None
-            # Parent under the migrate root pushed by migrate(), so the
+            # Parent under the migrate root entered by migrate(), so the
             # whole cutover reads as one span tree.
             return tel.begin(f"migrate.{name}", "migrate",
                              f"runtime:{self.machine.name}",
@@ -976,7 +978,7 @@ class HydraRuntime:
 
         # 6. Restore state, hand over the firmware port claim, rewire
         # data channels (same hook contract as crash recovery), replay
-        # whatever the drain could not confirm.
+        # whatever the drain could not confirm and rebind the proxies.
         child = step("restore")
         if state is not None and checkpointable(replacement):
             replacement.restore(state)
@@ -989,9 +991,6 @@ class HydraRuntime:
         done(child)
         child = step("rewire")
         yield from self._rewire(source, record, pending)
-        for proxy in proxies:
-            proxy.rebind(self._proxy_channel(proxy.channel.config,
-                                             replacement))
         record.restored_at_ns = self.sim.now
         done(child)
 

@@ -32,7 +32,7 @@ from repro.errors import FileSystemError
 from repro.hostos.kernel import Kernel
 from repro.hostos.sockets import UdpStack
 from repro.net.devport import DeviceNetPort
-from repro.net.packet import Address
+from repro.net.packet import Address, Packet
 from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams
 
@@ -157,33 +157,30 @@ class _PendingTable:
             event.succeed(response)
 
 
-class HostNfsClient:
-    """NFS client running in the host kernel (full host-path costs)."""
+class _NfsClient:
+    """The request/response body both NFS clients share; a subclass
+    supplies the transport (``_send``/``_recv``) and calls
+    :meth:`_start`."""
 
-    def __init__(self, kernel: Kernel, server: Address) -> None:
-        if kernel.udp is None:
-            raise FileSystemError("NFS client needs a socket stack")
-        self.kernel = kernel
-        self.server = server
-        self.socket = kernel.udp.socket()
-        self._pending = _PendingTable(kernel.sim)
-        kernel.sim.spawn(self._response_loop(), name="nfs-client-rx")
+    _label = "NFS"
+
+    def _start(self, sim: Simulator, rx_name: str) -> None:
+        self._pending = _PendingTable(sim)
+        sim.spawn(self._response_loop(), name=rx_name)
 
     def _response_loop(self) -> Generator[Event, None, None]:
-        # Kernel-internal: NFS replies land in the page cache, never in
-        # a user buffer.
         while True:
-            packet = yield from self.socket.recvfrom_kernel()
+            packet = yield from self._recv()
             self._pending.resolve(packet.payload)
 
     def _call(self, op: str, handle: str, offset: int, size: int,
               wire_bytes: int) -> Generator[Event, None, NfsResponse]:
         request, waiter = self._pending.request(op, handle, offset, size)
-        yield from self.socket.sendto_kernel(self.server, wire_bytes,
-                                             payload=request)
+        yield from self._send(wire_bytes, request)
         response: NfsResponse = yield waiter
         if not response.ok:
-            raise FileSystemError(f"NFS {op} on {handle!r} failed")
+            raise FileSystemError(
+                f"{self._label} {op} on {handle!r} failed")
         return response
 
     def read(self, handle: str, offset: int, size: int
@@ -201,7 +198,29 @@ class HostNfsClient:
         return response.size
 
 
-class DeviceNfsClient:
+class HostNfsClient(_NfsClient):
+    """NFS client running in the host kernel (full host-path costs)."""
+
+    def __init__(self, kernel: Kernel, server: Address) -> None:
+        if kernel.udp is None:
+            raise FileSystemError("NFS client needs a socket stack")
+        self.kernel = kernel
+        self.server = server
+        self.socket = kernel.udp.socket()
+        self._start(kernel.sim, "nfs-client-rx")
+
+    def _send(self, wire_bytes: int, request: NfsRequest
+              ) -> Generator[Event, None, Packet]:
+        return self.socket.sendto_kernel(self.server, wire_bytes,
+                                         payload=request)
+
+    def _recv(self) -> Generator[Event, None, Packet]:
+        # Kernel-internal: NFS replies land in the page cache, never in
+        # a user buffer.
+        return self.socket.recvfrom_kernel()
+
+
+class DeviceNfsClient(_NfsClient):
     """NFS client in device firmware — zero host involvement.
 
     Also exports the ``read_block``/``write_block`` interface expected by
@@ -210,46 +229,21 @@ class DeviceNfsClient:
     """
 
     BLOCK_HANDLE = "smartdisk.img"
+    _label = "device NFS"
 
     def __init__(self, port: DeviceNetPort, server: Address) -> None:
         self.port = port
         self.server = server
         self.binding = port.bind()
-        self._pending = _PendingTable(port.device.sim)
-        port.device.sim.spawn(self._response_loop(), name="devnfs-rx")
-        self.reads = 0
-        self.writes = 0
+        self._start(port.device.sim, "devnfs-rx")
 
-    def _response_loop(self) -> Generator[Event, None, None]:
-        while True:
-            packet = yield from self.binding.recv()
-            self._pending.resolve(packet.payload)
+    def _send(self, wire_bytes: int, request: NfsRequest
+              ) -> Generator[Event, None, Packet]:
+        return self.port.send(self.binding.number, self.server, wire_bytes,
+                              payload=request)
 
-    def _call(self, op: str, handle: str, offset: int, size: int,
-              wire_bytes: int) -> Generator[Event, None, NfsResponse]:
-        request, waiter = self._pending.request(op, handle, offset, size)
-        yield from self.port.send(self.binding.number, self.server,
-                                  wire_bytes, payload=request)
-        response: NfsResponse = yield waiter
-        if not response.ok:
-            raise FileSystemError(f"device NFS {op} on {handle!r} failed")
-        return response
-
-    def read(self, handle: str, offset: int, size: int
-             ) -> Generator[Event, None, int]:
-        """Firmware NFS read; returns bytes read."""
-        response = yield from self._call("read", handle, offset, size,
-                                         _REQUEST_WIRE_BYTES)
-        self.reads += 1
-        return response.size
-
-    def write(self, handle: str, offset: int, size: int
-              ) -> Generator[Event, None, int]:
-        """Firmware NFS write; returns bytes acked."""
-        response = yield from self._call(
-            "write", handle, offset, size, size + _REQUEST_WIRE_BYTES)
-        self.writes += 1
-        return response.size
+    def _recv(self) -> Generator[Event, None, Packet]:
+        return self.binding.recv()
 
     # -- SmartDisk backing interface -------------------------------------------
 

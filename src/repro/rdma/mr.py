@@ -84,10 +84,6 @@ class RdmaRegion:
         """The 64-bit word at ``offset`` (0 if never stored)."""
         return self.words.get(offset, 0)
 
-    def store_word(self, offset: int, value: int) -> None:
-        """Store a 64-bit word at ``offset``."""
-        self.words[offset] = value
-
     def compare_and_swap(self, offset: int, expected: int,
                          desired: int) -> int:
         """Atomic CAS on the word at ``offset``; returns the old value.

@@ -30,12 +30,13 @@ Parenting across generator layers
 
 A bus transfer cannot receive its parent span as an argument without
 threading telemetry through every provider signature.  Instead the
-channel layer *pushes* its span context into a per-process slot
-(:meth:`Telemetry.push_ctx`) around the provider call and the bus reads
-:meth:`Telemetry.current_ctx` on entry.  The slot is keyed by the
-simulator's active process: the whole channel -> provider -> bus chain
-runs inside the writer's process via ``yield from``, so concurrent
-writers on other processes cannot clobber each other's context.
+channel layer opens its span with :meth:`Telemetry.enter`, which also
+installs the span's context in a per-process slot, and the bus reads
+:meth:`Telemetry.current_ctx` on entry; :meth:`Telemetry.end` puts the
+displaced context back.  The slot is keyed by the simulator's active
+process: the whole channel -> provider -> bus chain runs inside the
+writer's process via ``yield from``, so concurrent writers on other
+processes cannot clobber each other's context.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ class Span:
 
     A ``__slots__`` class: traced runs mint one per instrumented
     operation, so allocation cost matters.  ``end_ns`` is ``None`` while
-    the span is open; only ended spans are exported.
+    the span is open; only ended spans are exported.  ``displaced`` is
+    set by :meth:`Telemetry.enter`: the ``(process, context)`` that
+    :meth:`Telemetry.end` restores.
     """
 
     __slots__ = ("name", "category", "track", "trace_id", "span_id",
-                 "parent_id", "start_ns", "end_ns", "attrs")
+                 "parent_id", "start_ns", "end_ns", "attrs", "displaced")
 
     def __init__(self, name: str, category: str, track: str, trace_id: int,
                  span_id: int, parent_id: Optional[int], start_ns: int,
@@ -88,11 +91,12 @@ class Span:
         self.start_ns = start_ns
         self.end_ns: Optional[int] = None
         self.attrs = attrs
+        self.displaced: Optional[tuple] = None
 
     @property
     def context(self) -> SpanContext:
-        """This span's propagatable identity (attach to Calls, push as
-        the process context for providers/buses)."""
+        """This span's propagatable identity (attached to Calls;
+        installed as the process context by :meth:`Telemetry.enter`)."""
         return SpanContext(self.trace_id, self.span_id)
 
     @property
@@ -210,8 +214,32 @@ class Telemetry:
                     span_id=next(self._span_ids), parent_id=parent_id,
                     start_ns=self.sim.now, attrs=attrs or None)
 
+    def enter(self, name: str, category: str, track: str,
+              parent: ParentLike = None, **attrs: Any) -> Span:
+        """Open a span (as :meth:`begin`) and install its context as the
+        active process's, for the layers below to parent under.
+
+        :meth:`end` restores the context this displaced, so close the
+        span in a ``finally`` in the same simulation process (the normal
+        ``yield from`` chain guarantees this); nested enters unwind in
+        LIFO order.
+        """
+        span = self.begin(name, category, track, parent=parent, **attrs)
+        key = self.sim._active_process
+        span.displaced = (key, self._proc_ctx.get(key))
+        self._proc_ctx[key] = span.context
+        return span
+
     def end(self, span: Span, **attrs: Any) -> Span:
-        """Close a span at the current simulated time and record it."""
+        """Close a span at the current simulated time and record it;
+        a span opened with :meth:`enter` first restores the context it
+        displaced."""
+        if span.displaced is not None:
+            key, prev = span.displaced
+            if prev is None:
+                self._proc_ctx.pop(key, None)
+            else:
+                self._proc_ctx[key] = prev
         span.end_ns = self.sim.now
         if attrs:
             if span.attrs is None:
@@ -248,26 +276,6 @@ class Telemetry:
         self.instant(message, category, "log/" + category, **fields)
 
     # -- per-process dynamic context ----------------------------------------------
-
-    def push_ctx(self, ctx: SpanContext) -> tuple:
-        """Install ``ctx`` as the active process's span context.
-
-        Returns a token for :meth:`pop_ctx`.  Push and pop must happen
-        in the same simulation process (the normal ``yield from`` chain
-        guarantees this).
-        """
-        key = self.sim._active_process
-        token = (key, self._proc_ctx.get(key))
-        self._proc_ctx[key] = ctx
-        return token
-
-    def pop_ctx(self, token: tuple) -> None:
-        """Restore the context that :meth:`push_ctx` displaced."""
-        key, prev = token
-        if prev is None:
-            self._proc_ctx.pop(key, None)
-        else:
-            self._proc_ctx[key] = prev
 
     def current_ctx(self) -> Optional[SpanContext]:
         """The active process's span context (None outside any span)."""

@@ -171,11 +171,6 @@ class UserSpaceClient:
             yield from self.kernel.cpu.execute(cost, context="client-app")
 
     @property
-    def frames_shown_total(self) -> int:
-        """Alias for frames_shown (API parity with OffloadedClient)."""
-        return self.frames_shown
-
-    @property
     def bytes_recorded(self) -> int:
         """Bytes appended to the recording so far."""
         return self.recording.write_offset

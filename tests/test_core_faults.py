@@ -306,6 +306,39 @@ def test_proxy_retry_succeeds_within_budget(world):
     assert proxy.timeouts == 0
 
 
+def test_proxy_call_is_the_same_with_and_without_a_met_policy(world):
+    """One invoke body: a policy whose deadline is met changes nothing
+    the caller sees, and its marshal span carries the same bytes."""
+    sim, machine, runtime = world
+    tel = Telemetry.attach(sim)
+    proxy = deploy(sim, runtime).proxy
+    seen = []
+    for policy in (None, CallPolicy(deadline_ns=5_000_000, max_attempts=3)):
+        proxy.set_policy(policy)
+        before = proxy.invocations
+        out = {}
+
+        def call():
+            out["v"] = yield from proxy.Poke()
+
+        sim.run_until_event(sim.spawn(call()))
+        root = tel.spans_of("proxy")[-1]
+        marshal = [s for s in tel.spans_of("marshal")
+                   if s.parent_id == root.span_id]
+        assert len(marshal) == 1
+        seen.append((out["v"], proxy.invocations - before,
+                     marshal[0].attrs["bytes"]))
+        if policy is not None:
+            assert root.attrs["policy"] is True
+            assert marshal[0].attrs["attempt"] == 1
+        else:
+            assert "policy" not in root.attrs
+            assert "attempt" not in marshal[0].attrs
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == (1, 1)
+    assert proxy.timeouts == 0
+
+
 def test_channel_noise_filter_and_stats(world):
     sim, machine, runtime = world
     config = ChannelConfig(kind=ChannelKind.UNICAST,

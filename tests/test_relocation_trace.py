@@ -17,7 +17,10 @@ line, or shifts simulated time shows up here.
   hook, then one more proxy call on the rebound proxy.
 
 The values in ``GOLDEN`` were captured before the two paths shared their
-halves.  Run this file as a script to print the observed sequences.
+halves; the crash run's last two ``channel`` marks came in when
+recovery started rebinding the victim's proxy (the new channel's
+connect notice on the OOB channel).  Run this file as a script to print
+the observed sequences.
 """
 
 from repro.core import HydraRuntime, WatchdogConfig
@@ -89,11 +92,13 @@ GOLDEN = {'crash': [(0, 'bus', 'bus.transfer'),
                     (11211544,
                      'deploy',
                      'deployment of fault.Worker, fault.Helper complete'),
+                    (11261544, 'channel', 'channel.write'),
                     (11261544,
                      'fault',
                      "recovery hook failed after nic0: RuntimeError('hook "
                      "broke')"),
-                    (11261544, 'fault', 'device nic0 recovery complete')],
+                    (11261544, 'fault', 'device nic0 recovery complete'),
+                    (11261587, 'channel', '#5 host -> host')],
           'migrate': [(0, 'bus', 'bus.transfer'),
                       (0, 'deploy', 'layout resolved for res.Worker'),
                       (44764, 'bus', 'bus.transfer'),

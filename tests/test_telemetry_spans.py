@@ -97,31 +97,47 @@ def test_attach_detach_roundtrip():
 # -- per-process dynamic context ---------------------------------------------------
 
 
-def test_ctx_push_pop_nests():
+def test_enter_end_nests_lifo_and_restores_on_raise():
     sim = Simulator()
     tel = Telemetry.attach(sim)
-    outer, inner = SpanContext(1, 10), SpanContext(1, 11)
     assert tel.current_ctx() is None
-    token_a = tel.push_ctx(outer)
-    token_b = tel.push_ctx(inner)
-    assert tel.current_ctx() is inner
-    tel.pop_ctx(token_b)
-    assert tel.current_ctx() is outer
-    tel.pop_ctx(token_a)
+    outer = tel.enter("outer", "test", "t")
+    inner = tel.enter("inner", "test", "t", parent=outer)
+    assert tel.current_ctx().span_id == inner.span_id
+    tel.end(inner)
+    assert tel.current_ctx().span_id == outer.span_id
+    tel.end(outer)
+    assert tel.current_ctx() is None
+
+    # A body that raises still gets the displaced context back.
+    outer = tel.enter("outer", "test", "t")
+    with pytest.raises(RuntimeError):
+        span = tel.enter("failing", "test", "t", parent=outer)
+        try:
+            raise RuntimeError("boom")
+        finally:
+            tel.end(span)
+    assert tel.current_ctx().span_id == outer.span_id
+    tel.end(outer)
+    assert tel.current_ctx() is None
+    # A span opened with begin() leaves the context alone.
+    plain = tel.begin("plain", "test", "t")
+    tel.end(plain)
     assert tel.current_ctx() is None
 
 
 def test_ctx_is_keyed_per_process():
-    """One process's pushed context must be invisible to another."""
+    """One process's entered context must be invisible to another."""
     sim = Simulator()
     tel = Telemetry.attach(sim)
     seen = {}
 
     def pusher():
-        token = tel.push_ctx(SpanContext(1, 10))
+        span = tel.enter("pusher", "test", "t")
+        seen["pusher_span"] = span.span_id
         yield sim.clock.timeout(100)  # let the peer run in between
         seen["pusher_mid"] = tel.current_ctx()
-        tel.pop_ctx(token)
+        tel.end(span)
 
     def peer():
         yield sim.clock.timeout(50)  # runs while pusher's ctx is live
@@ -132,7 +148,7 @@ def test_ctx_is_keyed_per_process():
     sim.run_until_event(done)
     sim.run(until=200)
     assert seen["peer"] is None
-    assert seen["pusher_mid"].span_id == 10
+    assert seen["pusher_mid"].span_id == seen["pusher_span"]
 
 
 # -- the emit bridge -----------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro import units
 from repro.core import WatchdogConfig
 from repro.faults import FaultPlan
+from repro.faults.chaos import run_chaos_scenario
 from repro.tivopc import (
     OffloadedClient,
     OffloadedServer,
@@ -100,3 +101,27 @@ def test_chaos_run_is_deterministic():
     assert first_incident.died_at_ns == second_incident.died_at_ns
     assert first[1].frames_shown == second[1].frames_shown
     assert first[1].bytes_recorded == second[1].bytes_recorded
+
+
+def test_crash_recovery_rebinds_proxies_to_the_replacement():
+    """Recovery, like migration, points each victim's proxies at a fresh
+    channel to its replacement: after the default chaos scenario's NIC
+    death every proxy's channel is open and a call through the
+    NetStreamer proxy returns."""
+    run = run_chaos_scenario(0)
+    runtime = run.testbed.client_runtime
+    assert runtime.incidents and runtime.incidents[0].recovered
+    proxies = [proxy for bound in runtime._proxies.values()
+               for proxy in bound]
+    assert proxies and not any(proxy.channel.closed for proxy in proxies)
+    proxy = runtime._proxies["tivopc.NetStreamer"][0]
+    streamer = runtime.locate("tivopc.NetStreamer")
+    assert streamer.location == "host"
+    out = {}
+
+    def call():
+        out["handled"] = yield from proxy.ChunksHandled()
+
+    sim = run.testbed.sim
+    sim.run_until_event(sim.spawn(call()))
+    assert out["handled"] == streamer.chunks_handled > 0
